@@ -73,6 +73,7 @@ func BenchmarkDynamic(b *testing.B) {
 	opt.Dynamic.Profile = dyn.Profile{Kind: dyn.ProfilePulse, Amplitude: 0.5, Period: 0.25}
 	opt.Dynamic.Species = dyn.Species{Enabled: true, DoseConcentration: 1, DoseDuration: 1, ArrivalThreshold: 0.1}
 	var dr *sim.DynamicReport
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dr, err = sim.ValidateDynamic(d, opt)

@@ -22,6 +22,11 @@
 // explicit update would need ~10⁶ steps per simulated second and ring
 // at the stability boundary; backward Euler damps the fast modes
 // unconditionally and lets accuracy, not stability, set the step.
+// The channel conductance matrix G is fixed for the whole run, so
+// Compile stamps it once; each step attempt adds the C/dt diagonal to
+// a per-run copy of G and factors C/dt + G and 2C/dt + G once each in
+// per-run storage, both half steps sharing the second factorization,
+// so a step allocates nothing.
 // Species advection stays explicit first-order upwind and bounds the
 // step by the CFL condition dt ≤ ½·min(V_cell/|q|), so cell
 // concentrations can never go negative. The stepper is strictly serial
@@ -163,7 +168,8 @@ type System struct {
 	species  Species
 
 	chFrom, chTo []int
-	chCond       []float64 // 1/R per channel
+	chCond       []float64      // 1/R per channel
+	lap          *linalg.Matrix // channel conductance Laplacian G
 
 	srcFrom, srcTo []int // netlist.External stays -1
 	srcFlow        []float64
@@ -205,6 +211,11 @@ func Compile(net *netlist.Network, nodeCap []float64, props []ChannelProps, prof
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
+	lap, err := linalg.NewMatrix(nn, nn)
+	if err != nil {
+		return nil, fmt.Errorf("dyn: assembling %d-node step system: %w", nn, err)
+	}
+	net.StampConductance(lap)
 
 	s := &System{
 		net:      net,
@@ -214,6 +225,7 @@ func Compile(net *netlist.Network, nodeCap []float64, props []ChannelProps, prof
 		chFrom:   make([]int, nc),
 		chTo:     make([]int, nc),
 		chCond:   make([]float64, nc),
+		lap:      lap,
 		srcFrom:  make([]int, ns),
 		srcTo:    make([]int, ns),
 		srcFlow:  make([]float64, ns),
@@ -368,6 +380,7 @@ func (s *System) Run(ctx context.Context, cfg Config, probes Probes) (*Result, e
 	p := make([]float64, nn)
 	conc := make([]float64, s.nCells)
 	st := &stepScratch{
+		a:        s.lap.Clone(),
 		q:        make([]float64, nc),
 		rhs:      make([]float64, nn),
 		inflow:   make([]float64, nn),
@@ -420,15 +433,7 @@ func (s *System) Run(ctx context.Context, cfg Config, probes Probes) (*Result, e
 		// Step-doubling error estimate on the pressure state: one full
 		// backward-Euler step vs two half steps; commit the halved
 		// result.
-		if err := s.beStep(t+dt, dt, p, st.pFull, st); err != nil {
-			s.finalize(res, t, p, st)
-			return res, err
-		}
-		if err := s.beStep(t+0.5*dt, 0.5*dt, p, st.pHalf, st); err != nil {
-			s.finalize(res, t, p, st)
-			return res, err
-		}
-		if err := s.beStep(t+dt, 0.5*dt, st.pHalf, st.pHalf, st); err != nil {
+		if err := s.stepPair(t, dt, p, st); err != nil {
 			s.finalize(res, t, p, st)
 			return res, err
 		}
@@ -500,8 +505,11 @@ func (s *System) Run(ctx context.Context, cfg Config, probes Probes) (*Result, e
 }
 
 // stepScratch holds the per-run work buffers so the stepper loop
-// allocates only inside the linear solver.
+// allocates nothing.
 type stepScratch struct {
+	a  *linalg.Matrix // step matrix C/dt + G; factor rewrites the diagonal
+	lu linalg.LU      // factors of a
+
 	q        []float64 // channel flows
 	rhs      []float64 // backward-Euler right-hand side
 	inflow   []float64 // net volumetric inflow per node
@@ -578,30 +586,50 @@ func (s *System) netInflow(t float64, p, out, q []float64) {
 	}
 }
 
+// stepPair runs one step-doubling attempt of length dt from time t:
+// one full backward-Euler step from p into st.pFull and two half steps
+// from p into st.pHalf. Each step matrix is factored once; both half
+// steps solve against the same 2C/dt + G factors.
+func (s *System) stepPair(t, dt float64, p []float64, st *stepScratch) error {
+	if err := s.factor(t+dt, dt, st); err != nil {
+		return err
+	}
+	if err := s.beStep(t+dt, dt, p, st.pFull, st); err != nil {
+		return err
+	}
+	half := 0.5 * dt
+	if err := s.factor(t+half, half, st); err != nil {
+		return err
+	}
+	if err := s.beStep(t+half, half, p, st.pHalf, st); err != nil {
+		return err
+	}
+	return s.beStep(t+dt, half, st.pHalf, st.pHalf, st)
+}
+
+// factor builds the backward-Euler step matrix C/dt + G for step
+// length dt and factors it into st.lu. st.a starts as a copy of G and
+// Refactor leaves its input untouched, so only the diagonal needs
+// rewriting. The C/dt diagonal makes the matrix nonsingular without
+// grounding a node: the pressure DC level is pinned by charge
+// conservation instead. tNew only labels errors.
+func (s *System) factor(tNew, dt float64, st *stepScratch) error {
+	for i, c := range s.cap {
+		st.a.Set(i, i, s.lap.At(i, i)+c/dt)
+	}
+	if err := st.lu.Refactor(st.a); err != nil {
+		return fmt.Errorf("dyn: step solve at t=%.6g s: %w", tNew, err)
+	}
+	return nil
+}
+
 // beStep advances one backward-Euler step of length dt landing at time
-// tNew: it solves (C/dt + G)·p' = C/dt·p + b(tNew), where G is the
-// channel conductance Laplacian and b the source injections. The C/dt
-// diagonal makes the system nonsingular without grounding a node — the
-// pressure DC level is pinned by charge conservation instead. pIn and
-// pOut may alias.
+// tNew against the factors factor left in st.lu: it solves
+// (C/dt + G)·p' = C/dt·p + b(tNew), where b is the source injections.
+// pIn and pOut may alias.
 func (s *System) beStep(tNew, dt float64, pIn, pOut []float64, st *stepScratch) error {
-	nn := len(s.cap)
-	a, err := linalg.NewMatrix(nn, nn)
-	if err != nil {
-		return fmt.Errorf("dyn: assembling %d-node step system: %w", nn, err)
-	}
-	for c := range s.chCond {
-		f, t2 := s.chFrom[c], s.chTo[c]
-		g := s.chCond[c]
-		a.Add(f, f, g)
-		a.Add(t2, t2, g)
-		a.Add(f, t2, -g)
-		a.Add(t2, f, -g)
-	}
-	for i := 0; i < nn; i++ {
-		ci := s.cap[i] / dt
-		a.Add(i, i, ci)
-		st.rhs[i] = ci * pIn[i]
+	for i, c := range s.cap {
+		st.rhs[i] = (c / dt) * pIn[i]
 	}
 	for i := range s.srcFlow {
 		f := s.sourceFlow(i, tNew)
@@ -612,11 +640,9 @@ func (s *System) beStep(tNew, dt float64, pIn, pOut []float64, st *stepScratch) 
 			st.rhs[s.srcTo[i]] += f
 		}
 	}
-	x, err := linalg.Solve(a, st.rhs)
-	if err != nil {
+	if err := st.lu.SolveTo(pOut, st.rhs); err != nil {
 		return fmt.Errorf("dyn: step solve at t=%.6g s: %w", tNew, err)
 	}
-	copy(pOut, x)
 	return nil
 }
 

@@ -477,3 +477,46 @@ func TestRampStartupDelaysSteadyState(t *testing.T) {
 		t.Errorf("post-ramp flow %g, want ≈ %g", flows[len(flows)-1], q)
 	}
 }
+
+// TestRunAllocationsIndependentOfLength pins the allocation-free step:
+// G is stamped at Compile and every buffer, factorization included, is
+// allocated before the first step, so a run four times as long makes
+// exactly as many allocations.
+func TestRunAllocationsIndependentOfLength(t *testing.T) {
+	const nodes, r, q = 5, 2.0, 3.0
+	net := chain(t, nodes, r, q)
+	sp := Species{Enabled: true, DoseConcentration: 1, DoseDuration: 4, ArrivalThreshold: 0.1}
+	pulse := Profile{Kind: ProfilePulse, Amplitude: 0.5, Period: 0.5}
+	sys, err := Compile(net, uniform(nodes, 0.01), uniformProps(nodes-1, 0.5, 4), []Profile{pulse, pulse}, sp)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	probes := Probes{
+		Nodes:    []netlist.NodeID{0, nodes - 1},
+		Channels: []netlist.ChannelID{0, nodes - 2},
+		Species:  []netlist.ChannelID{0, 1, 2, 3},
+	}
+	// AllocsPerRun reports a whole number per run.
+	allocs := func(duration float64) (int, int) {
+		cfg := DefaultConfig()
+		cfg.Duration = duration
+		var steps int
+		n := testing.AllocsPerRun(5, func() {
+			res, err := sys.Run(context.Background(), cfg, probes)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			steps = res.Steps
+		})
+		return int(n), steps
+	}
+	short, shortSteps := allocs(1)
+	long, longSteps := allocs(4)
+	if longSteps <= shortSteps {
+		t.Fatalf("4 s run took %d steps, 1 s run %d: want more", longSteps, shortSteps)
+	}
+	if short != long {
+		t.Errorf("1 s run (%d steps) made %d allocations, 4 s run (%d steps) %d: want equal",
+			shortSteps, short, longSteps, long)
+	}
+}

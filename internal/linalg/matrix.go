@@ -107,6 +107,8 @@ func (m *Matrix) MaxAbs() float64 {
 }
 
 // LU holds an LU factorization with partial pivoting: P·A = L·U.
+// The zero value holds no factorization; Refactor fills it, so one LU
+// can be refactored over and over without allocating.
 type LU struct {
 	lu   *Matrix
 	piv  []int
@@ -116,16 +118,35 @@ type LU struct {
 // Factorize computes the LU factorization of the square matrix a with
 // partial pivoting. The input is not modified.
 func Factorize(a *Matrix) (*LU, error) {
+	f := &LU{}
+	if err := f.Refactor(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Refactor computes the LU factorization of the square matrix a with
+// partial pivoting into f, replacing whatever f held. The input is not
+// modified. f's storage is reused when a has the size of the previous
+// factorization, so refactoring same-size matrices allocates nothing.
+// After an error f holds no usable factorization until the next
+// successful Refactor.
+func (f *LU) Refactor(a *Matrix) error {
 	if a.rows != a.cols {
-		return nil, fmt.Errorf("%w: LU of %dx%d", ErrShape, a.rows, a.cols)
+		return fmt.Errorf("%w: LU of %dx%d", ErrShape, a.rows, a.cols)
 	}
 	n := a.rows
-	lu := a.Clone()
-	piv := make([]int, n)
+	if f.lu == nil || f.lu.rows != n {
+		f.lu = a.Clone()
+		f.piv = make([]int, n)
+	} else {
+		copy(f.lu.data, a.data)
+	}
+	lu, piv := f.lu, f.piv
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
+	f.sign = 1
 	for k := 0; k < n; k++ {
 		// Partial pivoting: find the largest entry in column k.
 		p, mx := k, math.Abs(lu.At(k, k))
@@ -135,7 +156,7 @@ func Factorize(a *Matrix) (*LU, error) {
 			}
 		}
 		if mx == 0 {
-			return nil, fmt.Errorf("%w: zero pivot in column %d", ErrSingular, k)
+			return fmt.Errorf("%w: zero pivot in column %d", ErrSingular, k)
 		}
 		if p != k {
 			rk := lu.data[k*n : (k+1)*n]
@@ -144,7 +165,7 @@ func Factorize(a *Matrix) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
+			f.sign = -f.sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -160,16 +181,26 @@ func Factorize(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return nil
 }
 
 // Solve solves A·x = b using the factorization.
 func (f *LU) Solve(b []float64) ([]float64, error) {
-	n := f.lu.rows
-	if len(b) != n {
-		return nil, fmt.Errorf("%w: system of size %d, rhs of length %d", ErrShape, n, len(b))
+	x := make([]float64, f.lu.rows)
+	if err := f.SolveTo(x, b); err != nil {
+		return nil, err
 	}
-	x := make([]float64, n)
+	return x, nil
+}
+
+// SolveTo solves A·x = b using the factorization, writing the solution
+// into x without allocating. x and b must both have the system's size
+// and must not share storage.
+func (f *LU) SolveTo(x, b []float64) error {
+	n := f.lu.rows
+	if len(x) != n || len(b) != n {
+		return fmt.Errorf("%w: system of size %d, solution of length %d, rhs of length %d", ErrShape, n, len(x), len(b))
+	}
 	// Apply the permutation.
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
@@ -192,11 +223,11 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		}
 		d := row[i]
 		if d == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		x[i] = (x[i] - s) / d
 	}
-	return x, nil
+	return nil
 }
 
 // Det returns the determinant of the factorized matrix.

@@ -246,3 +246,126 @@ func TestMatrixAddAndMaxAbs(t *testing.T) {
 		t.Fatalf("MaxAbs: got %g", m.MaxAbs())
 	}
 }
+
+// TestRefactorReusesStorage pins the in-place LU: refactoring a matrix
+// of the factorization's size allocates nothing, a new size resizes,
+// and solving into a caller's buffer allocates nothing either.
+func TestRefactorReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a, b := randomDiagDominant(rng, 9), randomDiagDominant(rng, 9)
+	rhs, x := make([]float64, 9), make([]float64, 9)
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	var f LU
+	if err := f.Refactor(a); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := f.Refactor(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SolveTo(x, rhs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("same-size Refactor + SolveTo: %g allocations per run, want 0", n)
+	}
+	if res, err := Residual(b, x, rhs); err != nil || res > 1e-9 {
+		t.Errorf("reused factorization: residual %g, err %v", res, err)
+	}
+
+	c := randomDiagDominant(rng, 4)
+	if err := f.Refactor(c); err != nil {
+		t.Fatal(err)
+	}
+	small := []float64{1, -2, 3, -4}
+	y := make([]float64, 4)
+	if err := f.SolveTo(y, small); err != nil {
+		t.Fatalf("SolveTo after resizing to 4: %v", err)
+	}
+	if res, err := Residual(c, y, small); err != nil || res > 1e-9 {
+		t.Errorf("resized factorization: residual %g, err %v", res, err)
+	}
+}
+
+// TestRefactorMatchesFactorize checks that a reused LU gives the same
+// bits as a fresh Factorize/Solve, pivoting included, so callers may
+// switch between them without changing any output.
+func TestRefactorMatchesFactorize(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var f LU
+	x := make([]float64, 12)
+	for trial := 0; trial < 20; trial++ {
+		a := randomDiagDominant(rng, 12)
+		// Scramble the rows so partial pivoting has to swap.
+		for i := 11; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			for k := 0; k < 12; k++ {
+				vi, vj := a.At(i, k), a.At(j, k)
+				a.Set(i, k, vj)
+				a.Set(j, k, vi)
+			}
+		}
+		b := make([]float64, 12)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		want, err := Solve(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Factorize(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Refactor(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SolveTo(x, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: x[%d] = %v via Refactor/SolveTo, %v via Solve", trial, i, x[i], want[i])
+			}
+		}
+		if math.Float64bits(f.Det()) != math.Float64bits(fresh.Det()) {
+			t.Fatalf("trial %d: det %v via Refactor, %v via Factorize", trial, f.Det(), fresh.Det())
+		}
+	}
+}
+
+func TestRefactorSingular(t *testing.T) {
+	a := mustMatrix(t, 2, 2)
+	a.Set(0, 0, 1)
+	a.Set(0, 1, 2)
+	a.Set(1, 0, 2)
+	a.Set(1, 1, 4)
+	var f LU
+	if err := f.Refactor(a); !errors.Is(err, ErrSingular) {
+		t.Fatalf("singular Refactor: want ErrSingular, got %v", err)
+	}
+	// A failed factorization does not poison the next one.
+	if err := f.Refactor(mustIdentity(t, 2)); err != nil {
+		t.Fatalf("Refactor after a singular matrix: %v", err)
+	}
+	x := make([]float64, 2)
+	if err := f.SolveTo(x, []float64{5, 7}); err != nil || !testutil.Approx(x[0], 5) || !testutil.Approx(x[1], 7) {
+		t.Errorf("identity solve after recovery: x = %v, err %v", x, err)
+	}
+}
+
+func TestSolveToShapeErrors(t *testing.T) {
+	f, err := Factorize(mustIdentity(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := []float64{1, 2, 3}
+	if err := f.SolveTo(make([]float64, 2), ok); !errors.Is(err, ErrShape) {
+		t.Errorf("SolveTo short x: want ErrShape, got %v", err)
+	}
+	if err := f.SolveTo(make([]float64, 3), []float64{1, 2, 3, 4}); !errors.Is(err, ErrShape) {
+		t.Errorf("SolveTo long b: want ErrShape, got %v", err)
+	}
+}

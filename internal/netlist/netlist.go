@@ -190,14 +190,7 @@ func (n *Network) Solve() (*Solution, error) {
 		return nil, fmt.Errorf("netlist: assembling %d-node system: %w", nn, err)
 	}
 	rhs := make([]float64, nn)
-	for _, ch := range n.channels {
-		cond := 1 / float64(ch.Resistance)
-		f, t := int(ch.From), int(ch.To)
-		g.Add(f, f, cond)
-		g.Add(t, t, cond)
-		g.Add(f, t, -cond)
-		g.Add(t, f, -cond)
-	}
+	n.StampConductance(g)
 	for _, s := range n.sources {
 		if s.From != External {
 			rhs[s.From] -= float64(s.Flow)
@@ -232,6 +225,24 @@ func (n *Network) Solve() (*Solution, error) {
 		flows[i] = (p[ch.From] - p[ch.To]) / float64(ch.Resistance)
 	}
 	return &Solution{net: n, pressures: p, flows: flows}, nil
+}
+
+// StampConductance adds every channel's conductance stamp to m, in
+// channel order: +1/R on the two endpoint diagonals and −1/R on the two
+// off-diagonals, which builds the nodal Laplacian G in the top-left
+// NumNodes×NumNodes block. m must be at least that large. Every solver
+// that needs G — steady nodal analysis, modified nodal analysis and
+// the transient stepper — stamps it here, so all of them see the same
+// bits.
+func (n *Network) StampConductance(m *linalg.Matrix) {
+	for _, ch := range n.channels {
+		cond := 1 / float64(ch.Resistance)
+		f, t := int(ch.From), int(ch.To)
+		m.Add(f, f, cond)
+		m.Add(t, t, cond)
+		m.Add(f, t, -cond)
+		m.Add(t, f, -cond)
+	}
 }
 
 // components labels each node with a connected-component index

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ooc/internal/linalg"
 	"ooc/internal/units"
 )
 
@@ -275,5 +276,35 @@ func TestDissipationMatchesPumpPower(t *testing.T) {
 	pump := q * (s.Pressure(a).Pascals() - s.Pressure(b).Pascals())
 	if math.Abs(pump-s.TotalDissipation()) > 1e-12*math.Abs(pump) {
 		t.Fatalf("pump power %g vs dissipation %g", pump, s.TotalDissipation())
+	}
+}
+
+// TestStampConductance checks the shared Laplacian stamp: symmetric,
+// zero row sums, the summed conductances on the diagonal, and nothing
+// outside the node block — the MNA solve stamps G into a larger matrix
+// whose extra rows and columns belong to the pressure sources.
+func TestStampConductance(t *testing.T) {
+	n := New()
+	a, b, c := n.AddNode("a"), n.AddNode("b"), n.AddNode("c")
+	mustChannel(t, n, "ab", a, b, 2)
+	mustChannel(t, n, "bc", b, c, 4)
+	mustChannel(t, n, "ca", c, a, 8)
+	m, err := linalg.NewMatrix(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.StampConductance(m)
+	want := [][]float64{
+		{0.5 + 0.125, -0.5, -0.125, 0},
+		{-0.5, 0.5 + 0.25, -0.25, 0},
+		{-0.125, -0.25, 0.25 + 0.125, 0},
+		{0, 0, 0, 0},
+	}
+	for i := range want {
+		for j := range want[i] {
+			if got := m.At(i, j); math.Abs(got-want[i][j]) > 1e-15 {
+				t.Errorf("G[%d][%d] = %g, want %g", i, j, got, want[i][j])
+			}
+		}
 	}
 }

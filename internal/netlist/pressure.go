@@ -106,14 +106,7 @@ func (n *Network) SolveMNA() (*MNASolution, error) {
 		return nil, fmt.Errorf("netlist: assembling %d-node pressure system: %w", size, err)
 	}
 	rhs := make([]float64, size)
-	for _, ch := range n.channels {
-		cond := 1 / float64(ch.Resistance)
-		f, t := int(ch.From), int(ch.To)
-		g.Add(f, f, cond)
-		g.Add(t, t, cond)
-		g.Add(f, t, -cond)
-		g.Add(t, f, -cond)
-	}
+	n.StampConductance(g)
 	for _, s := range n.sources {
 		if s.From != External {
 			rhs[s.From] -= float64(s.Flow)

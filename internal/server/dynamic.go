@@ -14,13 +14,16 @@ import (
 	"ooc/internal/sim"
 )
 
-// dynStepCost is the coarse per-step wall-clock estimate behind the
-// admission gate: three dense LU solves of the ~15-node pressure
-// system plus the advection sweep. Deliberately a lower bound — the
-// gate rejects only requests that cannot possibly finish; anything it
-// admits still runs under the deadline and surfaces a 504 if the
-// estimate was optimistic.
-const dynStepCost = 20 * time.Microsecond
+// dynStepCost is the per-step wall-clock estimate behind the admission
+// gate. A step attempt factors two dense step matrices once each and
+// solves against them three times; on the cheapest chip (male_simple, 15 nodes, an
+// undosed constant-pump run) one Duration/MaxStep step costs ≈2.6 µs
+// on a 2-vCPU Xeon host, and larger chips cost more (≈21 µs for the
+// 35-node generic4). The constant is about half the cheapest figure,
+// so it stays a lower bound on slower hosts: the gate rejects only
+// requests that cannot possibly finish; anything it admits still runs
+// under the deadline and surfaces a 504 if the estimate was optimistic.
+const dynStepCost = 1300 * time.Nanosecond
 
 // dynamicQueryKeys are the /v1/validate query parameters that only
 // mean something under ?model=dynamic.

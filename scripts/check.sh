@@ -1,8 +1,8 @@
 #!/bin/sh
 # Extended verification: formatting/tidy hygiene, build, vet,
-# race-enabled tests, and the repo's own domain-aware static analysis
-# (ooclint). CI and local pre-merge runs should both go through this
-# script.
+# race-enabled tests, the repo's own domain-aware static analysis
+# (ooclint), and vet + tests of the benchmark module (perfbench/). CI
+# and local pre-merge runs should both go through this script.
 #
 # Every artifact (smoke binaries, daemon logs) lives in a private
 # mktemp directory, so concurrent runs — two CI jobs on one runner, a
@@ -49,6 +49,16 @@ step build go build ./...
 step vet go vet ./...
 step test go test -race ./...
 step ooclint go run ./cmd/ooclint ./...
+
+# The benchmark is a module of its own (perfbench/go.mod, replace ooc
+# => ../), so the root `go build ./...` and `go test ./...` never
+# compile it. It imports internal packages, so vet and test it here:
+# an internal API change must not break the benchmark unnoticed.
+perfbench_tests() {
+    go -C perfbench vet ./...
+    go -C perfbench test ./...
+}
+step perfbench-tests perfbench_tests
 
 # Smoke-run the headline benchmarks once (-benchtime=1x): catches
 # bit-rot in the parallel evaluation path and the cross-section cache
