@@ -510,10 +510,15 @@ func TestGracefulDrain(t *testing.T) {
 	// New connections are refused once the listener closes.
 	refusedBy := time.Now().Add(5 * time.Second)
 	for {
-		_, err := (&net.Dialer{}).Dial("tcp", ln.Addr().String())
+		conn, err := (&net.Dialer{}).Dial("tcp", ln.Addr().String())
 		if err != nil {
 			break
 		}
+		// A probe accepted before the listener closed never sends a
+		// request; left open, Shutdown would wait up to 5 s on it and
+		// exhaust the drain budget. Only the dial matters, so a Close
+		// error is irrelevant.
+		_ = conn.Close()
 		if time.Now().After(refusedBy) {
 			t.Fatal("listener still accepting after drain began")
 		}
