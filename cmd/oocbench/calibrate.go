@@ -58,10 +58,10 @@ func runCalibrate(ctx context.Context, cfg config, out, errOut io.Writer) error 
 }
 
 // calibrationDoc sweeps the paper grid across the ladder and the
-// reference rung and assembles the bounds document. The sweep runs
-// under the documented default scheme (auto: SOR below resolution 64,
-// multigrid at and above), matching how budget-selected rungs will
-// actually be served.
+// reference rung and assembles the bounds document. Each numeric rung
+// solves with the backend its resolution picks (SOR below 64,
+// multigrid at and above), exactly as budget-selected rungs are
+// served.
 func calibrationDoc(ctx context.Context, workers int) (modelsel.Doc, error) {
 	cases := usecases.All()
 	instances := usecases.Instances(cases, usecases.PaperSweep())

@@ -32,7 +32,6 @@ type benchDoc struct {
 	Schema      string       `json:"schema"`
 	Grid        string       `json:"grid"`
 	Model       string       `json:"model"`
-	Scheme      string       `json:"scheme"`
 	Workers     int          `json:"workers"`
 	Instances   int          `json:"instances"`
 	Failures    int          `json:"failures"`
@@ -100,7 +99,6 @@ func runJSON(ctx context.Context, cfg config, opt sim.Options, out, errOut io.Wr
 		Schema:      benchSchema,
 		Grid:        gridName,
 		Model:       opt.Model.String(),
-		Scheme:      opt.Scheme.String(),
 		Workers:     cfg.workers,
 		Instances:   len(instances),
 		WallSeconds: wall.Seconds(),
@@ -157,7 +155,7 @@ func runJSON(ctx context.Context, cfg config, opt sim.Options, out, errOut io.Wr
 
 // diffAgainst compares the fresh document against the baseline at
 // cfg.diffPath. Deviation cells gate hard (they are bit-deterministic
-// for a fixed model/scheme/grid, so the tolerance only absorbs
+// for a fixed model and grid, so the tolerance only absorbs
 // cross-platform floating-point variation); wall clock and iteration
 // counts gate on ratio bands. Every violation is reported before the
 // nonzero exit.
@@ -174,9 +172,9 @@ func diffAgainst(cfg config, fresh benchDoc, out, errOut *strings.Builder) error
 		return fmt.Errorf("baseline %s has schema %q, this binary speaks %q — regenerate it with -json",
 			cfg.diffPath, base.Schema, benchSchema)
 	}
-	if base.Grid != fresh.Grid || base.Model != fresh.Model || base.Scheme != fresh.Scheme {
-		return fmt.Errorf("baseline is grid=%s model=%s scheme=%s but this run is grid=%s model=%s scheme=%s — not comparable",
-			base.Grid, base.Model, base.Scheme, fresh.Grid, fresh.Model, fresh.Scheme)
+	if base.Grid != fresh.Grid || base.Model != fresh.Model {
+		return fmt.Errorf("baseline is grid=%s model=%s but this run is grid=%s model=%s — not comparable",
+			base.Grid, base.Model, fresh.Grid, fresh.Model)
 	}
 
 	var regressions int

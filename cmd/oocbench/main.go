@@ -24,7 +24,6 @@
 //	oocbench -workers 1   # serial evaluation (default: GOMAXPROCS)
 //	oocbench -timeout 30s # per-run deadline budget
 //	oocbench -stats       # numeric-model run with solver/cache telemetry
-//	oocbench -scheme mg   # force the multigrid Poisson backend (numeric model)
 //	oocbench -json        # machine-readable benchmark document (grid only)
 //	oocbench -json -diff BENCH_5.json  # regression gate vs a committed baseline
 //	oocbench -budget 0.02 # auto-select the cheapest model within a 2% error budget
@@ -64,7 +63,6 @@ type config struct {
 	timeout   time.Duration
 	stats     bool
 	model     string
-	scheme    string
 	jsonOut   bool
 	diffPath  string
 	budget    float64
@@ -76,22 +74,16 @@ type config struct {
 	calibTol    float64
 }
 
-// simOptions resolves the -model, -scheme and -budget flags. A -model
-// of "auto" keeps the historical analytic-exact validation, except
-// under -stats where the numeric model is selected so the telemetry
-// has iterative solves and cache traffic to report, and under -budget
-// where the cheapest calibrated rung within the error budget is
-// selected (an explicit -model always wins over -budget); everything
-// else goes through the shared sim.ParseModel / sim.ParseScheme
-// spelling checks. The selected rung, when any, rides along for the
-// run header.
+// simOptions resolves the -model and -budget flags. A -model of "auto"
+// keeps the historical analytic-exact validation, except under -stats
+// where the numeric model is selected so the telemetry has iterative
+// solves and cache traffic to report, and under -budget where the
+// cheapest calibrated rung within the error budget is selected (an
+// explicit -model always wins over -budget); everything else goes
+// through the shared sim.ParseModel spelling check. The selected rung,
+// when any, rides along for the run header.
 func (c config) simOptions() (sim.Options, *modelsel.Rung, error) {
 	opt := sim.DefaultOptions()
-	scheme, err := sim.ParseScheme(c.scheme)
-	if err != nil {
-		return opt, nil, fmt.Errorf("-scheme: %w", err)
-	}
-	opt.Scheme = scheme
 	explicitModel := c.model != "" && c.model != "auto"
 	if c.budget != 0 && !explicitModel {
 		// The grid spans every use case, so selection goes against the
@@ -138,7 +130,6 @@ func main() {
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "overall deadline for the run (0 = none); on expiry partial results are flushed and the exit status is nonzero")
 	flag.BoolVar(&cfg.stats, "stats", false, "print solver/cache telemetry after the report (selects the numeric resistance model under -model auto)")
 	flag.StringVar(&cfg.model, "model", "auto", "validation resistance model: auto or one of "+sim.ModelNames)
-	flag.StringVar(&cfg.scheme, "scheme", "auto", "Poisson backend for the numeric model: auto, sor or mg")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit a machine-readable benchmark document (grid rows + solver/cache telemetry) instead of the report")
 	flag.StringVar(&cfg.diffPath, "diff", "", "compare a fresh -json run against the baseline document at this path; exit nonzero on regression")
 	flag.Float64Var(&cfg.budget, "budget", 0, "auto-select the cheapest model whose calibrated worst-case deviation fits this fraction (0 disables; an explicit -model wins)")
@@ -149,13 +140,13 @@ func main() {
 	flag.Float64Var(&cfg.calibTol, "calib-tol", 1e-6, "-calibrate -diff: max allowed absolute drift per calibrated bound")
 	flag.Parse()
 
-	// A typo'd -model or -scheme (or an out-of-range -budget, or a flag
-	// combination with two output formats) is a usage error: fail
-	// before the grid run starts, with the valid spellings, and exit 2
-	// like flag package parse failures do.
+	// A typo'd -model (or an out-of-range -budget, or a flag combination
+	// with two output formats) is a usage error: fail before the grid
+	// run starts, with the valid spellings, and exit 2 like flag package
+	// parse failures do.
 	if _, _, err := cfg.simOptions(); err != nil {
 		fmt.Fprintln(os.Stderr, "oocbench:", err)
-		fmt.Fprintf(os.Stderr, "usage: oocbench [-model {auto, %s}] [-scheme {%s}] [-budget f] [flags]\n", sim.ModelNames, sim.SchemeNames)
+		fmt.Fprintf(os.Stderr, "usage: oocbench [-model {auto, %s}] [-budget f] [flags]\n", sim.ModelNames)
 		os.Exit(2)
 	}
 	if cfg.calibrate && cfg.jsonOut {

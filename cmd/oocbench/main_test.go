@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -212,44 +213,6 @@ func TestModelFlagValidation(t *testing.T) {
 	}
 }
 
-// TestSchemeFlagValidation: table over every -scheme spelling; unknown
-// values must error with a message listing the valid schemes — the
-// message main prints before exiting 2.
-func TestSchemeFlagValidation(t *testing.T) {
-	cases := []struct {
-		scheme  string
-		want    sim.Scheme
-		wantErr bool
-	}{
-		{scheme: "", want: sim.SchemeAuto},
-		{scheme: "auto", want: sim.SchemeAuto},
-		{scheme: "sor", want: sim.SchemeSOR},
-		{scheme: "mg", want: sim.SchemeMG},
-		{scheme: "bogus", wantErr: true},
-		{scheme: "Mg", wantErr: true},
-	}
-	for _, tc := range cases {
-		opt, _, err := config{model: "numeric", scheme: tc.scheme}.simOptions()
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("scheme %q: expected an error", tc.scheme)
-				continue
-			}
-			if !strings.Contains(err.Error(), sim.SchemeNames) {
-				t.Errorf("scheme %q: error does not list valid schemes: %v", tc.scheme, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("scheme %q: %v", tc.scheme, err)
-			continue
-		}
-		if opt.Scheme != tc.want {
-			t.Errorf("scheme %q: got %v want %v", tc.scheme, opt.Scheme, tc.want)
-		}
-	}
-}
-
 // TestJSONRoundTripAndDiff: a -json run must emit a parseable benchDoc,
 // a -diff against that very document must pass, and a tampered
 // baseline must fail with a nonzero (error) outcome naming the drifted
@@ -308,10 +271,31 @@ func TestJSONRoundTripAndDiff(t *testing.T) {
 		t.Fatalf("regression report does not name the drifted cell: %s", diffErr.String())
 	}
 
-	// A baseline from a different grid/model/scheme is not comparable.
+	// A baseline from a different grid or model is not comparable.
 	mismatch := diffCfg
 	mismatch.paperGrid = false
 	if err := run(ctx, mismatch, &diffOut, &diffErr); err == nil || !strings.Contains(err.Error(), "not comparable") {
 		t.Fatalf("grid mismatch must fail as not comparable, got %v", err)
+	}
+}
+
+// TestPaperGridMatchesBench5: the committed BENCH_5.json is a hard
+// check, not only a CI warning. The paper grid under the numeric model
+// must reproduce its deviation cells within the default ±0.01 pct band
+// and its solver iteration counts within the default 1.25× band; both
+// are deterministic. Wall clock depends on the host, so its band is
+// off.
+func TestPaperGridMatchesBench5(t *testing.T) {
+	cfg := config{
+		paperGrid: true, jsonOut: true, model: "numeric",
+		diffPath:   filepath.Join("..", "..", "BENCH_5.json"),
+		diffAccTol: 0.01, diffWallTol: math.Inf(1), diffIterTol: 1.25,
+	}
+	var out, errOut bytes.Buffer
+	if err := run(context.Background(), cfg, &out, &errOut); err != nil {
+		t.Fatalf("paper grid drifted from BENCH_5.json: %v\n%s", err, errOut.String())
+	}
+	if !strings.Contains(out.String(), "benchdiff: OK") {
+		t.Fatalf("diff did not report OK: %s", out.String())
 	}
 }

@@ -4,7 +4,7 @@
 // Endpoints:
 //
 //	POST /v1/design             specification in, generated design out
-//	POST /v1/validate?model=m&scheme=s
+//	POST /v1/validate?model=m
 //	                            specification in, validation report out;
 //	                            ?error_budget=f instead of ?model=
 //	                            auto-selects the cheapest calibrated
@@ -22,8 +22,6 @@
 //	GET  /healthz               liveness
 //	GET  /metrics               text metrics exposition
 //
-// ?scheme= picks the Poisson backend behind the numeric model (auto,
-// sor or mg); requests without it use the -scheme flag's default.
 // ?model=dynamic selects the transient tier and adds ?duration=,
 // ?profile= (constant, ramp:<rise>, pulse:<depth>@<period>) and
 // ?dose=; a simulated span that cannot fit the request's deadline
@@ -80,7 +78,6 @@ import (
 	"ooc/internal/cachesnap"
 	"ooc/internal/modelsel"
 	"ooc/internal/server"
-	"ooc/internal/sim"
 )
 
 func main() {
@@ -92,7 +89,6 @@ func main() {
 		timeout       time.Duration
 		maxTimeout    time.Duration
 		drain         time.Duration
-		scheme        string
 		stats         bool
 		jobsRunning   int
 		jobsQueue     int
@@ -110,7 +106,6 @@ func main() {
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "default per-request deadline budget (0 = 15s)")
 	flag.DurationVar(&cfg.maxTimeout, "max-timeout", 0, "cap on client-requested ?timeout= (0 = 60s)")
 	flag.DurationVar(&cfg.drain, "drain", 0, "graceful-drain budget on shutdown (0 = 5s)")
-	flag.StringVar(&cfg.scheme, "scheme", "auto", "default Poisson backend for ?scheme=-less validation requests: auto, sor or mg")
 	flag.BoolVar(&cfg.stats, "stats", false, "print the final metrics exposition to stderr on exit")
 	flag.IntVar(&cfg.jobsRunning, "jobs-running", 0, "max concurrently running search jobs (0 = 1)")
 	flag.IntVar(&cfg.jobsQueue, "jobs-queue", 0, "max queued search jobs before 429 (0 = 8)")
@@ -123,15 +118,6 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: oocd [flags]")
-		os.Exit(2)
-	}
-	// A typo'd -scheme is a usage error: fail before the listener
-	// opens, with the valid spellings, and exit 2 like flag package
-	// parse failures do.
-	scheme, err := serverScheme(cfg.scheme)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oocd:", err)
-		fmt.Fprintf(os.Stderr, "usage: oocd [-scheme {%s}] [flags]\n", sim.SchemeNames)
 		os.Exit(2)
 	}
 	// The embedded calibration artifact backs every ?error_budget=
@@ -153,7 +139,6 @@ func main() {
 		DefaultTimeout: cfg.timeout,
 		MaxTimeout:     cfg.maxTimeout,
 		DrainTimeout:   cfg.drain,
-		DefaultScheme:  scheme,
 
 		JobsMaxRunning:    cfg.jobsRunning,
 		JobsQueueDepth:    cfg.jobsQueue,
@@ -164,16 +149,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "oocd:", err)
 		os.Exit(1)
 	}
-}
-
-// serverScheme resolves the -scheme flag through the shared
-// sim.ParseScheme spelling check.
-func serverScheme(name string) (sim.Scheme, error) {
-	s, err := sim.ParseScheme(name)
-	if err != nil {
-		return 0, fmt.Errorf("-scheme: %w", err)
-	}
-	return s, nil
 }
 
 // snapshotConfig carries the warm-start knobs into run.

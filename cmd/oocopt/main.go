@@ -59,7 +59,6 @@ type config struct {
 	objective    string
 	strategy     string
 	model        string
-	scheme       string
 	resolution   int
 	heights      string
 	gaps         string
@@ -79,7 +78,6 @@ func main() {
 	flag.StringVar(&cfg.objective, "objective", "area", "objective to minimize: area, pressure or flow")
 	flag.StringVar(&cfg.strategy, "strategy", "grid", "search strategy: grid or halving")
 	flag.StringVar(&cfg.model, "model", "exact", "full-fidelity resistance model: "+sim.ModelNames)
-	flag.StringVar(&cfg.scheme, "scheme", "auto", "Poisson backend for the numeric model: auto, sor or mg")
 	flag.IntVar(&cfg.resolution, "resolution", 0, "numeric model cross-section resolution (0 = 32)")
 	flag.StringVar(&cfg.heights, "heights", "", "comma-separated candidate channel heights in µm (default 100,125,150,175,200)")
 	flag.StringVar(&cfg.gaps, "gaps", "", "comma-separated candidate module gaps in mm (default 2,2.5,3,4)")
@@ -105,8 +103,8 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "oocopt:", err)
-		fmt.Fprintf(os.Stderr, "usage: oocopt [-objective {%s}] [-strategy {%s}] [-model {%s}] [-scheme {%s}] [flags]\n",
-			optimize.ObjectiveNames, optimize.StrategyNames, sim.ModelNames, sim.SchemeNames)
+		fmt.Fprintf(os.Stderr, "usage: oocopt [-objective {%s}] [-strategy {%s}] [-model {%s}] [flags]\n",
+			optimize.ObjectiveNames, optimize.StrategyNames, sim.ModelNames)
 		os.Exit(2)
 	}
 	spec, err := loadSpec(cfg.usecase, cfg.specPath)
@@ -210,8 +208,8 @@ func searchOptions(cfg config) (optimize.Options, error) {
 		// transient defaults are the right configuration.
 		opt.Sim.Dynamic = sim.DefaultDynamicOptions()
 	}
-	if opt.Sim.Scheme, err = sim.ParseScheme(cfg.scheme); err != nil {
-		return optimize.Options{}, err
+	if _, err := sim.ResolveNumericResolution(cfg.resolution); err != nil {
+		return optimize.Options{}, fmt.Errorf("-resolution: %w", err)
 	}
 	opt.Sim.NumericResolution = cfg.resolution
 	opt.Constraints = optimize.Constraints{MaxFlowDeviation: cfg.maxDeviation}

@@ -14,7 +14,7 @@ import (
 // parsers, and a typo'd spelling fails with an error that lists the
 // valid names — the message main prints before exiting 2.
 func TestFlagValidation(t *testing.T) {
-	base := config{objective: "area", strategy: "grid", model: "exact", scheme: "auto", maxDeviation: 0.05}
+	base := config{objective: "area", strategy: "grid", model: "exact", maxDeviation: 0.05}
 
 	opt, err := searchOptions(base)
 	if err != nil {
@@ -46,7 +46,8 @@ func TestFlagValidation(t *testing.T) {
 		{func(c *config) { c.objective = "beauty" }, optimize.ObjectiveNames},
 		{func(c *config) { c.strategy = "annealing" }, optimize.StrategyNames},
 		{func(c *config) { c.model = "bogus" }, sim.ModelNames},
-		{func(c *config) { c.scheme = "multigrid" }, sim.SchemeNames},
+		{func(c *config) { c.resolution = 1000000 }, "-resolution: sim: numeric resolution 1000000 out of range"},
+		{func(c *config) { c.resolution = -1 }, "-resolution: sim: numeric resolution -1 out of range"},
 		{func(c *config) { c.heights = "100,banana" }, "-heights"},
 		{func(c *config) { c.gaps = "2,-3" }, "-gaps"},
 	} {
@@ -80,7 +81,7 @@ func TestParseAxis(t *testing.T) {
 func TestSearchAndRender(t *testing.T) {
 	cfg := config{
 		usecase: "male_simple", objective: "area", strategy: "halving",
-		model: "exact", scheme: "auto", maxDeviation: 0.05,
+		model: "exact", maxDeviation: 0.05,
 		heights: "100,150,200", gaps: "2,3",
 	}
 	opt, err := searchOptions(cfg)

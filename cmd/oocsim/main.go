@@ -51,7 +51,6 @@ import (
 func main() {
 	def := sim.DefaultDynamicOptions()
 	model := flag.String("model", "exact", "resistance model: "+sim.ModelNames)
-	scheme := flag.String("scheme", "auto", "Poisson backend for the numeric model: auto, sor or mg")
 	noBends := flag.Bool("no-bends", false, "disable meander bend losses")
 	noJunctions := flag.Bool("no-junctions", false, "disable T-junction losses")
 	timeout := flag.Duration("timeout", 0, "overall deadline for the validation (0 = none)")
@@ -69,11 +68,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: oocsim [flags] design.json")
 		os.Exit(2)
 	}
-	// Flag validation happens before any file I/O: a typo'd -model,
-	// -scheme or -budget is a usage error (exit 2 with the valid
+	// Flag validation happens before any file I/O: a typo'd -model
+	// or -budget is a usage error (exit 2 with the valid
 	// spellings), not a late runtime failure after the design was
 	// already parsed.
-	opt, err := modelOptions(*model, *scheme, *noBends, *noJunctions)
+	opt, err := modelOptions(*model, *noBends, *noJunctions)
 	if err == nil && opt.Model == sim.ModelDynamic {
 		opt.Dynamic, err = dynamicOptions(*duration, *maxStep, *sampleEvery, *profile, *dose)
 	}
@@ -82,7 +81,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "oocsim:", err)
-		fmt.Fprintf(os.Stderr, "usage: oocsim [-model {%s}] [-scheme {%s}] [flags] design.json\n", sim.ModelNames, sim.SchemeNames)
+		fmt.Fprintf(os.Stderr, "usage: oocsim [-model {%s}] [flags] design.json\n", sim.ModelNames)
 		os.Exit(2)
 	}
 	// An explicitly chosen -model beats -budget selection — the flag's
@@ -124,20 +123,15 @@ func main() {
 	}
 }
 
-// modelOptions resolves the model/scheme flags and loss switches into
+// modelOptions resolves the model flag and loss switches into
 // validation options.
-func modelOptions(model, scheme string, noBends, noJunctions bool) (sim.Options, error) {
+func modelOptions(model string, noBends, noJunctions bool) (sim.Options, error) {
 	o := sim.DefaultOptions()
 	m, err := sim.ParseModel(model)
 	if err != nil {
 		return o, err
 	}
-	s, err := sim.ParseScheme(scheme)
-	if err != nil {
-		return o, err
-	}
 	o.Model = m
-	o.Scheme = s
 	o.DisableBendLosses = noBends
 	o.DisableJunctionLosses = noJunctions
 	return o, nil

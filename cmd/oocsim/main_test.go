@@ -27,7 +27,7 @@ func TestModelFlagValidation(t *testing.T) {
 		{model: "auto", wantErr: true},  // oocbench-only spelling
 	}
 	for _, tc := range cases {
-		opt, err := modelOptions(tc.model, "auto", true, false)
+		opt, err := modelOptions(tc.model, true, false)
 		if tc.wantErr {
 			if err == nil {
 				t.Errorf("model %q: expected an error", tc.model)
@@ -47,45 +47,6 @@ func TestModelFlagValidation(t *testing.T) {
 		}
 		if !opt.DisableBendLosses || opt.DisableJunctionLosses {
 			t.Errorf("model %q: loss switches not threaded through: %+v", tc.model, opt)
-		}
-	}
-}
-
-// TestSchemeFlagValidation: every valid -scheme spelling resolves to
-// the matching sim.Scheme, and anything else fails with an error that
-// lists the valid schemes — the message main prints before exiting 2.
-func TestSchemeFlagValidation(t *testing.T) {
-	cases := []struct {
-		scheme  string
-		want    sim.Scheme
-		wantErr bool
-	}{
-		{scheme: "auto", want: sim.SchemeAuto},
-		{scheme: "sor", want: sim.SchemeSOR},
-		{scheme: "mg", want: sim.SchemeMG},
-		{scheme: "", want: sim.SchemeAuto}, // flag default semantics
-		{scheme: "bogus", wantErr: true},
-		{scheme: "MG", wantErr: true},        // spellings are case-sensitive
-		{scheme: "multigrid", wantErr: true}, // canonical short name only
-	}
-	for _, tc := range cases {
-		opt, err := modelOptions("numeric", tc.scheme, false, false)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("scheme %q: expected an error", tc.scheme)
-				continue
-			}
-			if !strings.Contains(err.Error(), sim.SchemeNames) {
-				t.Errorf("scheme %q: error does not list valid schemes: %v", tc.scheme, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("scheme %q: %v", tc.scheme, err)
-			continue
-		}
-		if opt.Scheme != tc.want {
-			t.Errorf("scheme %q: got %v want %v", tc.scheme, opt.Scheme, tc.want)
 		}
 	}
 }

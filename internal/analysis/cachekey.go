@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// CacheKeyAnalyzer targets the cache-aliasing bug class PR 5 had to
-// hand-fix when the Scheme knob joined the cross-section solve: a
+// CacheKeyAnalyzer targets the cache-aliasing bug class that once hit
+// the cross-section solve when a solver-selection input joined it: a
 // solve input that is not folded into the cache key makes results that
 // should differ alias to one cached entry. Three rules, all on
 // production (non-test) code:
@@ -16,7 +16,7 @@ import (
 //   - composite literals of a cache-key struct type (a named struct
 //     used as a map key reachable from a package-level variable) must
 //     set every field explicitly. Deleting a field from the key
-//     struct's construction site — the exact Scheme regression — then
+//     struct's construction site — that exact regression — then
 //     fails the build here;
 //   - a function taking a cache-key parameter may take only the key
 //     (and a context): any extra parameter is a solve input flowing

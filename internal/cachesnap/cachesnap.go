@@ -22,7 +22,7 @@
 // Each guard catches a distinct failure mode: the magic rejects files
 // that were never snapshots, the version rejects envelopes from a
 // future (or obsolete) format, the schema hash rejects snapshots whose
-// cache keys mean something different (a renamed scheme, a new key
+// cache keys mean something different (a renamed or dropped key
 // field), and the CRC rejects torn or bit-rotted payloads. Read maps
 // each onto its own sentinel error so callers can report precisely why
 // a snapshot was refused.
@@ -62,17 +62,15 @@ const FormatVersion = 1
 //
 //   - the response-cache key grammar assembled by internal/server
 //     ("design|<canonical-spec>" and
-//     "validate|<model>|<scheme>|<rendering>|<canonical-spec>");
+//     "validate|<model>|<rendering>|<canonical-spec>");
 //   - the specio.Canonical byte format (it is the spec identity);
-//   - the cross-section key fields (aspect, n, scheme) or the set of
-//     scheme spellings below;
+//   - the cross-section key fields (aspect, n);
 //   - the semantics of a stored value (e.g. the normalized-integral
 //     scaling).
 const schemaDescriptor = "ooc-cache-snapshot/1;" +
-	"respkey{design|spec,validate|model|scheme|rendering|spec};" +
+	"respkey{design|spec,validate|model|rendering|spec};" +
 	"response{key,status,content_type,body};" +
-	"xsection{aspect,n,scheme->value};" +
-	"schemes{sor,mg}"
+	"xsection{aspect,n->value}"
 
 // ContentType is the MIME type of a snapshot on the wire
 // (GET/PUT /v1/cache).
@@ -108,12 +106,9 @@ type ResponseEntry struct {
 
 // CrossSectionEntry is one completed cross-section solve: the
 // normalized-duct cache key and the memoized velocity integral.
-// Scheme is the spelling of the numeric scheme ("sor" or "mg") rather
-// than the private enum, so the snapshot stays self-describing.
 type CrossSectionEntry struct {
 	Aspect float64 `json:"aspect"`
 	N      int     `json:"n"`
-	Scheme string  `json:"scheme"`
 	Value  float64 `json:"value"`
 }
 

@@ -29,8 +29,6 @@ import (
 	"ooc/internal/core"
 	"ooc/internal/fluid"
 	"ooc/internal/geometry"
-	"ooc/internal/linalg"
-	"ooc/internal/obs"
 	"ooc/internal/parallel"
 	"ooc/internal/units"
 )
@@ -40,18 +38,11 @@ type Options struct {
 	// CellSize is the raster resolution [m]; zero picks 1/3 of the
 	// narrowest channel width.
 	CellSize float64
-	// Tol is the solver convergence tolerance (relative residual for
-	// the CG backend, relative max-norm update for SOR); zero selects
-	// 1e-8.
+	// Tol is the solver convergence tolerance (the CG solver's
+	// relative residual); zero selects 1e-8.
 	Tol float64
 	// MaxIter bounds solver iterations; zero selects 40·(nx+ny).
 	MaxIter int
-	// Scheme selects the pressure-solve backend: SchemeAuto (zero
-	// value) keeps the historical CG solver, SchemeSOR runs the masked
-	// red-black SOR backend as an independent cross-check, and
-	// SchemeMG falls back to CG (the masked footprint is not nestable;
-	// see solvers.go) while recording the fallback in the collector.
-	Scheme linalg.Scheme
 	// Workers bounds the goroutines used for the per-channel
 	// cross-section factors and the row-parallel Laplacian sweeps;
 	// ≤ 0 selects GOMAXPROCS. The solve is bit-identical for every
@@ -112,6 +103,16 @@ func Solve(d *core.Design, opt Options) (*Field, error) {
 // obs.SolveStats under solver name "cg" into the collector carried by
 // ctx.
 func SolveContext(ctx context.Context, d *core.Design, opt Options) (*Field, error) {
+	return solve(ctx, d, opt, solveMaskedCG)
+}
+
+// maskedSolver is a pressure-solve backend for the masked system; see
+// solvers.go.
+type maskedSolver func(ctx context.Context, f *Field, rhs []float64, tol float64, maxIter, workers int) (int, error)
+
+// solve is SolveContext with the pressure-solve backend as an argument,
+// so tests can cross-check CG against the masked SOR oracle.
+func solve(ctx context.Context, d *core.Design, opt Options, backend maskedSolver) (*Field, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -293,9 +294,8 @@ func SolveContext(ctx context.Context, d *core.Design, opt Options) (*Field, err
 	// sum of the face conductivities and A[c,nb] their negatives (the
 	// cell size cancels in the finite-volume fluxes, so b = Q/k). The
 	// system is singular up to an additive constant; the sources
-	// balance, so b is compatible. The backend is picked by
-	// Options.Scheme — see solvers.go for both implementations and why
-	// geometric multigrid is not one of them.
+	// balance, so b is compatible. See solvers.go for the backends and
+	// why geometric multigrid is not one of them.
 	tol := opt.Tol
 	if tol == 0 {
 		tol = 1e-8
@@ -312,20 +312,7 @@ func SolveContext(ctx context.Context, d *core.Design, opt Options) (*Field, err
 		}
 	}
 
-	var iters int
-	var err error
-	switch opt.Scheme {
-	case linalg.SchemeSOR:
-		iters, err = solveMaskedSOR(ctx, f, rhs, tol, maxIter, workers)
-	case linalg.SchemeMG:
-		// The V-cycle needs a nestable rectangular hierarchy, which the
-		// masked channel footprint does not have; mg transparently runs
-		// the CG backend and leaves a trace in the collector.
-		obs.FromContext(ctx).Add("field.scheme.mg_fallback", 1)
-		fallthrough
-	default:
-		iters, err = solveMaskedCG(ctx, f, rhs, tol, maxIter, workers)
-	}
+	iters, err := backend(ctx, f, rhs, tol, maxIter, workers)
 	f.Iterations = iters
 	if err != nil {
 		return nil, err

@@ -11,30 +11,28 @@ import (
 	"ooc/internal/parallel"
 )
 
-// This file holds the pressure-solve backends behind Options.Scheme.
-// Both solve the same masked five-point system A·p = rhs, where
-// A[c,c] = Σ g(c,nb) over masked neighbours and A[c,nb] = −g(c,nb)
-// with the harmonic-mean face conductivities of faceG, starting from
-// the seeded initial guess in f.P. The system is singular up to an
-// additive constant and the sources balance, so rhs is compatible.
+// This file holds the pressure-solve backends. Both solve the same
+// masked five-point system A·p = rhs, where A[c,c] = Σ g(c,nb) over
+// masked neighbours and A[c,nb] = −g(c,nb) with the harmonic-mean face
+// conductivities of faceG, starting from the seeded initial guess in
+// f.P. The system is singular up to an additive constant and the
+// sources balance, so rhs is compatible.
 //
-//   - solveMaskedCG: conjugate gradients — the historical default.
-//     Needs no relaxation tuning and handles the long thin channel
-//     domain (effectively a 1D chain of thousands of cells) far
-//     better than relaxation sweeps.
-//   - solveMaskedSOR: red-black SOR, selected by SchemeSOR. It exists
-//     as an independent numeric cross-check of the CG backend (two
-//     solvers agreeing on module flows is worth more than one) and as
-//     the bridge to the linalg SOR/multigrid family. On the chain-like
-//     masked domain it leans on the designer-seeded initial guess; it
-//     converges, just in more iterations than CG.
+//   - solveMaskedCG: conjugate gradients — the solver SolveContext
+//     runs. Needs no relaxation tuning and handles the long thin
+//     channel domain (effectively a 1D chain of thousands of cells)
+//     far better than relaxation sweeps.
+//   - solveMaskedSOR: red-black SOR, kept as the tests' independent
+//     oracle for the CG backend (two solvers agreeing on module flows
+//     is worth more than one). On the chain-like masked domain it
+//     leans on the designer-seeded initial guess; it converges, just
+//     in more iterations than CG.
 //
-// Geometric multigrid (SchemeMG) is NOT implemented here: the V-cycle
-// needs a 2:1 nestable rectangular hierarchy, and the masked channel
-// footprint has none — coarsening a one-cell-wide channel disconnects
-// it. SchemeMG therefore falls back to CG (recorded under the
-// "field.scheme.mg_fallback" counter); the multigrid win lives in the
-// rectangular cross-section solves of internal/sim.
+// Geometric multigrid is NOT implemented here: the V-cycle needs a 2:1
+// nestable rectangular hierarchy, and the masked channel footprint has
+// none — coarsening a one-cell-wide channel disconnects it. The
+// multigrid win lives in the rectangular cross-section solves of
+// internal/sim.
 //
 // Both backends are bit-deterministic for every worker count: row
 // ownership is disjoint, per-row maxima are reduced serially, and the

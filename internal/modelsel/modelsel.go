@@ -3,7 +3,7 @@
 // fidelity ladder cheapest-first and picks the first rung whose
 // *calibrated* worst-case deviation from the reference model fits the
 // budget — Takken & Wille's "cheapest model that meets the accuracy
-// target" scheduling, applied to the exact/approx/numeric ladder.
+// target" scheduling, applied to the approx → exact ladder.
 //
 // The calibration table is an offline artifact (CALIB.json, generated
 // by `oocbench -calibrate`, regenerated and diffed in CI): for every
@@ -103,16 +103,16 @@ func (r RungSpec) Apply(o *sim.Options) {
 }
 
 // Ladder is the canonical serving ladder, cheapest first: the
-// designer's own Eq. 6 (approx), the Fourier-series truth model
-// (exact), then the FDM cross-section solve at increasing resolution.
+// designer's own Eq. 6 (approx), then the Fourier-series truth model
+// (exact). The FDM cross-section solve at resolutions below the
+// reference is not a rung: exact is both cheaper and closer to the
+// reference in every calibrated scope, so no budget would select it.
 // The transient tier (dynamic) is excluded — it answers a different
 // question (time evolution), not a cheaper version of the same one.
 func Ladder() []RungSpec {
 	return []RungSpec{
 		{Name: "approx", Model: sim.ModelApprox},
 		{Name: "exact", Model: sim.ModelExact},
-		{Name: "numeric@32", Model: sim.ModelNumeric, Resolution: 32},
-		{Name: "numeric@64", Model: sim.ModelNumeric, Resolution: 64},
 	}
 }
 

@@ -241,6 +241,42 @@ func TestDefaultEmbedded(t *testing.T) {
 	}
 }
 
+// TestEveryEmbeddedRungSelectable: each rung of the embedded table is
+// selected by some budget in some scope (global or one use case) — a
+// rung is only worth calibrating if it is strictly tighter there than
+// every cheaper rung. Select returns the first rung whose bound fits,
+// so a budget equal to a rung's own bound selects it exactly when
+// every cheaper rung's bound exceeds it.
+func TestEveryEmbeddedRungSelectable(t *testing.T) {
+	table, err := Default()
+	if err != nil {
+		t.Fatalf("embedded CALIB.json: %v", err)
+	}
+	scopes := []string{""}
+	seen := make(map[string]bool)
+	for _, rd := range table.Doc().Rungs {
+		for _, uc := range rd.UseCases {
+			if !seen[uc.UseCase] {
+				seen[uc.UseCase] = true
+				scopes = append(scopes, uc.UseCase)
+			}
+		}
+	}
+	for _, r := range table.Rungs() {
+		selectable := false
+		for _, scope := range scopes {
+			got, err := table.Select(scope, r.Bound(scope).Worst())
+			if err == nil && got.Name == r.Name {
+				selectable = true
+				break
+			}
+		}
+		if !selectable {
+			t.Errorf("rung %s: no budget selects it in any scope — a cheaper rung is at least as tight everywhere", r.Name)
+		}
+	}
+}
+
 // TestRungApply: Apply overwrites the model and numeric resolution but
 // leaves every other option alone.
 func TestRungApply(t *testing.T) {
@@ -250,12 +286,12 @@ func TestRungApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := sim.DefaultOptions()
-	opt.Scheme = sim.SchemeMG
+	opt.DisableBendLosses = true
 	r.Apply(&opt)
 	if opt.Model != sim.ModelNumeric || opt.NumericResolution != 64 {
 		t.Fatalf("Apply set %v@%d, want numeric@64", opt.Model, opt.NumericResolution)
 	}
-	if opt.Scheme != sim.SchemeMG {
-		t.Fatalf("Apply clobbered Scheme: %v", opt.Scheme)
+	if !opt.DisableBendLosses {
+		t.Fatal("Apply clobbered DisableBendLosses")
 	}
 }

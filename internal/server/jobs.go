@@ -34,12 +34,11 @@ type jobRequest struct {
 	Objective string `json:"objective,omitempty"`
 	// Strategy: grid (default) or halving.
 	Strategy string `json:"strategy,omitempty"`
-	// Model/Scheme/NumericResolution pick the full-fidelity validation
+	// Model/NumericResolution pick the full-fidelity validation
 	// configuration (the final rung under halving). Submitting with
 	// ?error_budget= auto-selects Model and NumericResolution from the
 	// calibration table instead; an explicit Model wins over the budget.
 	Model             string `json:"model,omitempty"`
-	Scheme            string `json:"scheme,omitempty"`
 	NumericResolution int    `json:"numeric_resolution,omitempty"`
 	// Candidate axes; absent selects the documented defaults. An
 	// explicitly empty array is rejected (it has no candidates).
@@ -200,13 +199,12 @@ func (s *Server) parseJobRequest(w http.ResponseWriter, r *http.Request) (jobs.R
 		// documented transient defaults are the right configuration.
 		opt.Sim.Dynamic = sim.DefaultDynamicOptions()
 	}
-	scheme := s.cfg.DefaultScheme
-	if in.Scheme != "" {
-		if scheme, err = sim.ParseScheme(in.Scheme); err != nil {
-			return jobs.Request{}, err
-		}
+	// An out-of-range resolution fails the submission synchronously:
+	// the job would fail anyway, and an unbounded grid would be
+	// allocated before any deadline check.
+	if _, err := sim.ResolveNumericResolution(in.NumericResolution); err != nil {
+		return jobs.Request{}, err
 	}
-	opt.Sim.Scheme = scheme
 	opt.Sim.NumericResolution = in.NumericResolution
 
 	// ?error_budget= auto-selects the full-fidelity rung from the

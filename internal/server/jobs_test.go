@@ -353,6 +353,8 @@ func TestJobsBadRequests(t *testing.T) {
 		{"bad objective", jobBody(t, "male_simple", map[string]any{"objective": "beauty"}), optimize.ObjectiveNames},
 		{"bad timeout", jobBody(t, "male_simple", map[string]any{"timeout": "yesterday"}), "timeout"},
 		{"empty axis", jobBody(t, "male_simple", map[string]any{"channel_heights_um": []float64{}}), "ChannelHeights"},
+		{"huge resolution", jobBody(t, "male_simple", map[string]any{"model": "numeric", "numeric_resolution": 1000000}), "out of range"},
+		{"negative resolution", jobBody(t, "male_simple", map[string]any{"model": "numeric", "numeric_resolution": -1}), "out of range"},
 	} {
 		resp, raw := post(t, ts.Client(), ts.URL+"/v1/jobs", tc.body, nil)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -361,6 +363,9 @@ func TestJobsBadRequests(t *testing.T) {
 		if !strings.Contains(string(raw), tc.want) {
 			t.Fatalf("%s: error %s does not mention %q", tc.name, raw, tc.want)
 		}
+	}
+	if list := s.jobs.List(); len(list) != 0 {
+		t.Fatalf("rejected submissions started %d jobs", len(list))
 	}
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/job-999999")

@@ -23,12 +23,10 @@
 //	                            ?error_budget= echoes the rung model
 //	                            selection would pick for validation in
 //	                            the X-OOC-Model-Selected header
-//	POST /v1/validate?model=m&scheme=s
+//	POST /v1/validate?model=m
 //	                            spec in → validation report (JSON, or
 //	                            text via Accept: text/plain);
-//	                            m ∈ {exact, approx, numeric, dynamic},
-//	                            s ∈ {auto, sor, mg} (Poisson backend
-//	                            for the numeric model);
+//	                            m ∈ {exact, approx, numeric, dynamic};
 //	                            ?error_budget=f (a fraction in (0, 1])
 //	                            instead of ?model= auto-selects the
 //	                            cheapest calibrated rung whose
@@ -105,10 +103,6 @@ type Config struct {
 	// requests get this long to finish before their contexts are
 	// cancelled. Default: 5s.
 	DrainTimeout time.Duration
-	// DefaultScheme is the Poisson backend used by validation requests
-	// that do not pass ?scheme=. Default: sim.SchemeAuto. An explicit
-	// ?scheme= always wins.
-	DefaultScheme sim.Scheme
 	// JobsMaxRunning/JobsQueueDepth/JobsHistory size the asynchronous
 	// /v1/jobs manager; zero values select the internal/jobs defaults
 	// (1 running job, 8 queued, 64 retained).
@@ -533,8 +527,7 @@ func makeValidateResult(rep *sim.Report, model sim.Model) validateResult {
 
 // handleValidate serves POST /v1/validate: specification in,
 // validation/tolerance report out. ?model= selects the resistance
-// model, ?scheme= the Poisson backend behind the numeric model;
-// Accept: text/plain selects the human-readable rendering.
+// model; Accept: text/plain selects the human-readable rendering.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	if r.Method != http.MethodPost {
@@ -551,14 +544,6 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.reply(w, "validate", started, jsonError(http.StatusBadRequest, "%v", err), false)
 		return
-	}
-	scheme := s.cfg.DefaultScheme
-	if q := r.URL.Query().Get("scheme"); q != "" {
-		scheme, err = sim.ParseScheme(q)
-		if err != nil {
-			s.reply(w, "validate", started, jsonError(http.StatusBadRequest, "%v", err), false)
-			return
-		}
 	}
 	dopt := sim.DefaultDynamicOptions()
 	if model == sim.ModelDynamic {
@@ -630,7 +615,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if sel != nil {
 		variant += fmt.Sprintf("|budget=%g|rung=%s", errBudget, sel.Name)
 	}
-	cacheKey := fmt.Sprintf("validate|%s|%s|%s|%s", variant, scheme, rendering, key)
+	cacheKey := fmt.Sprintf("validate|%s|%s|%s", variant, rendering, key)
 
 	resp, hit, err := s.cache.do(ctx, s.col, cacheKey, func() (response, bool, error) {
 		if err := s.adm.acquire(ctx); err != nil {
@@ -646,7 +631,6 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		}
 		opt := sim.DefaultOptions()
 		opt.Model = model
-		opt.Scheme = scheme
 		opt.Dynamic = dopt
 		if sel != nil {
 			sel.Apply(&opt)

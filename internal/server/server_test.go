@@ -189,67 +189,6 @@ func TestValidateEndpoint(t *testing.T) {
 	}
 }
 
-// TestValidateScheme: ?scheme= selects the numeric solve scheme, is
-// part of the cache identity, and an unknown spelling is a 400 that
-// lists the valid schemes.
-func TestValidateScheme(t *testing.T) {
-	s := New(Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	body := specBody(t, "male_simple")
-
-	respSOR, rawSOR := post(t, ts.Client(), ts.URL+"/v1/validate?model=numeric&scheme=sor", body, nil)
-	if respSOR.StatusCode != http.StatusOK || respSOR.Header.Get("X-Cache") != "miss" {
-		t.Fatalf("scheme=sor: status %d X-Cache %q: %s", respSOR.StatusCode, respSOR.Header.Get("X-Cache"), rawSOR)
-	}
-	// A different scheme on the same spec must not alias the sor entry.
-	respMG, rawMG := post(t, ts.Client(), ts.URL+"/v1/validate?model=numeric&scheme=mg", body, nil)
-	if respMG.StatusCode != http.StatusOK {
-		t.Fatalf("scheme=mg: status %d: %s", respMG.StatusCode, rawMG)
-	}
-	if respMG.Header.Get("X-Cache") != "miss" {
-		t.Fatal("scheme=mg hit the scheme=sor cache entry")
-	}
-	// Repeating each scheme hits its own entry.
-	respAgain, _ := post(t, ts.Client(), ts.URL+"/v1/validate?model=numeric&scheme=sor", body, nil)
-	if respAgain.Header.Get("X-Cache") != "hit" {
-		t.Fatal("second scheme=sor request missed the cache")
-	}
-	// Both schemes validate the same design; reports agree closely.
-	var outSOR, outMG validateResult
-	if err := json.Unmarshal(rawSOR, &outSOR); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(rawMG, &outMG); err != nil {
-		t.Fatal(err)
-	}
-	if d := outSOR.MaxFlowDeviation - outMG.MaxFlowDeviation; d > 1e-3 || -d > 1e-3 {
-		t.Fatalf("sor and mg disagree: max flow deviation %g vs %g", outSOR.MaxFlowDeviation, outMG.MaxFlowDeviation)
-	}
-
-	respBad, rawBad := post(t, ts.Client(), ts.URL+"/v1/validate?scheme=spectral", body, nil)
-	if respBad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown scheme: status %d", respBad.StatusCode)
-	}
-	if !strings.Contains(string(rawBad), sim.SchemeNames) {
-		t.Fatalf("unknown-scheme error does not list valid schemes: %s", rawBad)
-	}
-
-	// A configured default scheme applies when the query is absent and
-	// shares the cache entry with the explicit spelling.
-	s2 := New(Config{DefaultScheme: sim.SchemeMG})
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	r1, _ := post(t, ts2.Client(), ts2.URL+"/v1/validate?model=numeric", body, nil)
-	if r1.StatusCode != http.StatusOK || r1.Header.Get("X-Cache") != "miss" {
-		t.Fatalf("default-scheme first request: status %d X-Cache %q", r1.StatusCode, r1.Header.Get("X-Cache"))
-	}
-	r2, _ := post(t, ts2.Client(), ts2.URL+"/v1/validate?model=numeric&scheme=mg", body, nil)
-	if r2.Header.Get("X-Cache") != "hit" {
-		t.Fatal("explicit scheme=mg missed the default-scheme cache entry")
-	}
-}
-
 // TestBadRequests: malformed body, wrong method, bad timeout.
 func TestBadRequests(t *testing.T) {
 	s := New(Config{})

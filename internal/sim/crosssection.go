@@ -11,41 +11,19 @@ import (
 	"ooc/internal/units"
 )
 
-// solveScheme identifies the numeric scheme behind a cached
-// cross-section solve. It is part of the cache key so that future
-// alternative discretizations (e.g. a spectral solve) can coexist
-// without colliding with SOR results.
-type solveScheme uint8
+// mgMinResolution is the resolution from which the cross-section
+// solve runs multigrid instead of SOR. Below it the SOR sweep count is
+// modest and the V-cycle's setup overhead buys little; at and above it
+// multigrid's resolution-independent cycle count wins. The default
+// resolution (32) stays below the threshold.
+const mgMinResolution = 64
 
-const (
-	schemeFDMSOR solveScheme = iota
-	schemeFDMMG
-)
-
-// mgAutoResolution is the resolution at which SchemeAuto switches the
-// cross-section solve from SOR to multigrid. Below it the SOR sweep
-// count is modest and the V-cycle's setup overhead buys little; at and
-// above it multigrid's resolution-independent cycle count wins. The
-// default resolution (32) stays below the threshold, so existing auto
-// results are bit-identical to the pre-multigrid code.
-const mgAutoResolution = 64
-
-// resolveScheme maps the public scheme knob to the cache-key scheme
-// for a cross-section solve at resolution n. Multigrid needs odd grid
-// dimensions (ny = n+1, so n must be even) to build its nested
-// hierarchy; auto only picks it where that holds.
-func resolveScheme(s linalg.Scheme, n int) solveScheme {
-	switch s {
-	case linalg.SchemeSOR:
-		return schemeFDMSOR
-	case linalg.SchemeMG:
-		return schemeFDMMG
-	default:
-		if n >= mgAutoResolution && n%2 == 0 {
-			return schemeFDMMG
-		}
-		return schemeFDMSOR
-	}
+// useMultigrid reports whether the cross-section solve at resolution n
+// runs multigrid. The V-cycle needs odd grid dimensions to build its
+// nested hierarchy (ny = n+1, so n must be even); every other grid
+// runs SOR.
+func useMultigrid(n int) bool {
+	return n >= mgMinResolution && n%2 == 0
 }
 
 // crossSectionKey is the memoization key of the cross-section solve
@@ -56,11 +34,9 @@ func resolveScheme(s linalg.Scheme, n int) solveScheme {
 type crossSectionKey struct {
 	// aspect is fluid.CrossSection.NormalizedAspect (w/h ≥ 1).
 	aspect float64
-	// n is the grid-resolution parameter of NumericResistance.
+	// n is the grid-resolution parameter of NumericResistance; it
+	// also decides the Poisson backend (useMultigrid).
 	n int
-	// scheme is the numeric scheme (resistance model) that produced
-	// the entry.
-	scheme solveScheme
 }
 
 // csEntry is one in-flight or completed cache slot. The goroutine
@@ -178,12 +154,12 @@ func solveNormalized(ctx context.Context, key crossSectionKey) (float64, error) 
 	if nx > 4097 {
 		nx = 4097
 	}
-	if key.scheme == schemeFDMMG && nx%2 == 0 {
+	mg := useMultigrid(n)
+	if mg && nx%2 == 0 {
 		// Multigrid's 2:1 hierarchy needs odd dimensions; one extra
 		// column keeps the section shape (hx is recomputed below) while
-		// making the grid nestable. ny is odd whenever n is even, which
-		// resolveScheme guarantees for auto; a forced mg on odd n still
-		// works via the solver's own SOR fallback.
+		// making the grid nestable. ny = n+1 is odd because useMultigrid
+		// only accepts even n.
 		nx++
 	}
 	hx := aspect / float64(nx-1)
@@ -197,7 +173,7 @@ func solveNormalized(ctx context.Context, key crossSectionKey) (float64, error) 
 	for i := range f {
 		f[i] = 1 // normalized source: ∇²u = −1
 	}
-	if key.scheme == schemeFDMMG {
+	if mg {
 		if _, err := linalg.SolvePoissonMGContext(ctx, g, f, hx, hy, linalg.MGPoissonOptions{Tol: 1e-11}); err != nil {
 			return 0, fmt.Errorf("sim: cross-section solve: %w", err)
 		}
@@ -240,14 +216,17 @@ func solveNormalized(ctx context.Context, key crossSectionKey) (float64, error) 
 //
 // The solve runs on the aspect-normalized section and is memoized in
 // a process-wide singleflight cache keyed by (normalized aspect ratio,
-// grid resolution, scheme); repeated channels in the same similarity
-// class solve once. Cached and uncached calls return bit-identical
+// grid resolution); repeated channels in the same similarity class
+// solve once. Cached and uncached calls return bit-identical
 // results.
 //
 // n sets the grid resolution across the channel height (the width gets
-// proportionally more cells); n ≥ 8 required.
+// proportionally more cells); 8 ≤ n ≤ MaxNumericResolution required.
+// The resolution also picks the Poisson backend: multigrid for even
+// n ≥ 64, where its resolution-independent cycle count pays off, and
+// SOR everywhere else.
 func NumericResistance(cs fluid.CrossSection, length units.Length, mu units.Viscosity, n int) (units.HydraulicResistance, error) {
-	return NumericResistanceContext(context.Background(), cs, length, mu, n, SchemeAuto)
+	return NumericResistanceContext(context.Background(), cs, length, mu, n)
 }
 
 // NumericResistanceContext is NumericResistance with cooperative
@@ -256,26 +235,19 @@ func NumericResistance(cs fluid.CrossSection, length units.Length, mu units.Visc
 // done. Cancellation and deadline errors wrap context.Canceled /
 // context.DeadlineExceeded and are therefore distinguishable from
 // numeric failures.
-//
-// scheme selects the Poisson backend: SchemeSOR and SchemeMG force a
-// solver, SchemeAuto picks multigrid at resolution ≥ 64 (where its
-// resolution-independent cycle count pays off) and SOR below. The two
-// schemes memoize under distinct cache keys — forcing a scheme never
-// returns the other scheme's cached result.
-func NumericResistanceContext(ctx context.Context, cs fluid.CrossSection, length units.Length, mu units.Viscosity, n int, scheme Scheme) (units.HydraulicResistance, error) {
+func NumericResistanceContext(ctx context.Context, cs fluid.CrossSection, length units.Length, mu units.Viscosity, n int) (units.HydraulicResistance, error) {
 	if err := cs.Validate(); err != nil {
 		return 0, err
 	}
 	if length <= 0 || mu <= 0 {
 		return 0, fmt.Errorf("sim: non-positive length or viscosity")
 	}
-	if n < 8 {
-		return 0, fmt.Errorf("sim: grid resolution %d too coarse (need ≥ 8)", n)
+	if err := checkNumericResolution(n); err != nil {
+		return 0, err
 	}
 	integral, err := normalizedIntegral(ctx, crossSectionKey{
 		aspect: cs.NormalizedAspect(),
 		n:      n,
-		scheme: resolveScheme(scheme, n),
 	})
 	if err != nil {
 		return 0, err

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"context"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"ooc/internal/fluid"
+	"ooc/internal/obs"
 	"ooc/internal/physio"
 	"ooc/internal/units"
 )
@@ -148,6 +151,76 @@ var errMismatch = errDummy("concurrent caller observed different bits")
 type errDummy string
 
 func (e errDummy) Error() string { return string(e) }
+
+// TestCrossSectionBackendBySize: the grid picks the Poisson backend.
+// SOR runs below resolution 64, so the default resolution keeps its
+// historical solver, and on odd n, whose grid multigrid cannot
+// coarsen; multigrid runs on even n ≥ 64 and reports its per-level
+// telemetry.
+func TestCrossSectionBackendBySize(t *testing.T) {
+	cs := fluid.CrossSection{Width: units.Micrometres(300), Height: units.Micrometres(100)}
+	l, mu := units.Millimetres(1), units.PascalSeconds(1e-3)
+	t.Cleanup(ResetCrossSectionCache)
+	cases := []struct {
+		n    int
+		want string
+	}{
+		{n: 32, want: "sor"},
+		{n: 48, want: "sor"},
+		{n: 64, want: "mg"},
+		{n: 65, want: "sor"},
+		{n: 128, want: "mg"},
+	}
+	for _, tc := range cases {
+		// Multigrid's own fallback also reports "sor" on a grid it cannot
+		// coarsen, so pin the rule itself too: an odd n must never take
+		// the multigrid path (and its extra column).
+		if got := useMultigrid(tc.n); got != (tc.want == "mg") {
+			t.Errorf("useMultigrid(%d) = %v, want %v", tc.n, got, tc.want == "mg")
+		}
+		ResetCrossSectionCache()
+		col := obs.NewCollector()
+		ctx := obs.WithCollector(context.Background(), col)
+		if _, err := NumericResistanceContext(ctx, cs, l, mu, tc.n); err != nil {
+			t.Fatalf("n=%d: %v", tc.n, err)
+		}
+		s := col.Snapshot()
+		if len(s.Solvers) != 1 || s.Solvers[0].Solver != tc.want {
+			t.Errorf("n=%d: solved with %+v, want %s", tc.n, s.Solvers, tc.want)
+		}
+		if levels := strings.Contains(s.Format(), "mg levels:"); levels != (tc.want == "mg") {
+			t.Errorf("n=%d: telemetry reports mg levels = %v, want %v:\n%s", tc.n, levels, tc.want == "mg", s.Format())
+		}
+	}
+}
+
+// TestNumericResolutionBound: resolutions outside [8, 512] are
+// rejected before any solve (an unbounded one would allocate the grid
+// first); zero selects the default.
+func TestNumericResolutionBound(t *testing.T) {
+	for n, want := range map[int]int{0: defaultNumericResolution, 8: 8, MaxNumericResolution: MaxNumericResolution} {
+		if got, err := ResolveNumericResolution(n); err != nil || got != want {
+			t.Errorf("ResolveNumericResolution(%d) = %d, %v; want %d", n, got, err, want)
+		}
+	}
+	d := mustDesign(t, maleSimpleSpec())
+	cs := fluid.CrossSection{Width: units.Micrometres(300), Height: units.Micrometres(100)}
+	ResetCrossSectionCache()
+	for _, n := range []int{-1, 7, MaxNumericResolution + 1, 1000000} {
+		if _, err := ResolveNumericResolution(n); err == nil {
+			t.Errorf("ResolveNumericResolution(%d) accepted", n)
+		}
+		if _, err := Validate(d, Options{Model: ModelNumeric, NumericResolution: n}); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("Validate at resolution %d: err = %v, want an out-of-range error", n, err)
+		}
+		if _, err := NumericResistance(cs, units.Millimetres(1), units.PascalSeconds(1e-3), n); err == nil {
+			t.Errorf("NumericResistance at resolution %d accepted", n)
+		}
+	}
+	if got := CrossSectionCacheSize(); got != 0 {
+		t.Fatalf("rejected resolutions started %d solves", got)
+	}
+}
 
 // TestValidateModelNumeric: the FDM-backed validation model must run
 // end-to-end and land near the exact-series validation (the two are

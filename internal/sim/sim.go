@@ -56,6 +56,42 @@ const (
 // uses when Options.NumericResolution is zero.
 const defaultNumericResolution = 32
 
+// minNumericResolution is the coarsest cross-section grid resolution
+// NumericResistance accepts.
+const minNumericResolution = 8
+
+// MaxNumericResolution is the finest cross-section grid resolution
+// NumericResistance accepts: 4× the numeric@128 calibration reference,
+// the finest resolution in use. One solve at this bound holds two
+// float64 grids of about 17 MB each; without the bound an untrusted
+// resolution could allocate gigabytes before the first context check.
+const MaxNumericResolution = 512
+
+// ResolveNumericResolution maps an Options.NumericResolution value to
+// the grid resolution ModelNumeric solves at: zero selects the default
+// (32), anything else must lie in [8, MaxNumericResolution]. Validation
+// resolves through it before any solve; edges that take the value from
+// untrusted input call it to reject a bad value up front.
+func ResolveNumericResolution(n int) (int, error) {
+	if n == 0 {
+		return defaultNumericResolution, nil
+	}
+	if err := checkNumericResolution(n); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// checkNumericResolution rejects a grid resolution outside
+// [minNumericResolution, MaxNumericResolution].
+func checkNumericResolution(n int) error {
+	if n < minNumericResolution || n > MaxNumericResolution {
+		return fmt.Errorf("sim: numeric resolution %d out of range (want %d to %d, or 0 for the default %d)",
+			n, minNumericResolution, MaxNumericResolution, defaultNumericResolution)
+	}
+	return nil
+}
+
 // Options configures Validate.
 type Options struct {
 	// Model is the duct resistance model (default ModelExact).
@@ -67,13 +103,10 @@ type Options struct {
 	// at taps and module ports (ablation / self-consistency).
 	DisableJunctionLosses bool
 	// NumericResolution is the cross-section grid resolution for
-	// ModelNumeric; zero selects 32. Ignored by the analytic models.
+	// ModelNumeric; zero selects 32, anything else must lie in
+	// [8, MaxNumericResolution]. The analytic models ignore its value
+	// but validation still range-checks it.
 	NumericResolution int
-	// Scheme selects the Poisson backend for ModelNumeric's
-	// cross-section solves: SchemeAuto (zero value) picks multigrid at
-	// resolution ≥ 64 and SOR below, SchemeSOR / SchemeMG force one.
-	// Ignored by the analytic models.
-	Scheme Scheme
 	// Workers bounds the goroutines used for the per-channel
 	// resistance computations. Zero selects GOMAXPROCS when the model
 	// actually solves cross-sections numerically (ModelNumeric) and a
@@ -99,11 +132,11 @@ type Options struct {
 
 // DefaultOptions returns the documented default validation options:
 // the exact analytic model, bend and junction losses enabled, the
-// default numeric resolution and auto Poisson scheme, serial build
-// width, and no error budget. Every default is the zero value today,
-// but construct Options through this function anyway — a literal
-// claims every explicit zero is deliberate, and future fields keep
-// their documented defaults only on this path.
+// default numeric resolution, serial build width, and no error budget.
+// Every default is the zero value today, but construct Options through
+// this function anyway — a literal claims every explicit zero is
+// deliberate, and future fields keep their documented defaults only on
+// this path.
 func DefaultOptions() Options {
 	return Options{}
 }
@@ -269,9 +302,9 @@ func buildNetwork(ctx context.Context, d *core.Design, opt Options) (*builtNetwo
 	if opt.Model != ModelApprox && opt.Model != ModelExact && opt.Model != ModelNumeric && opt.Model != ModelDynamic {
 		return nil, fmt.Errorf("sim: unknown model %d", int(opt.Model))
 	}
-	numericN := opt.NumericResolution
-	if numericN == 0 {
-		numericN = defaultNumericResolution
+	numericN, err := ResolveNumericResolution(opt.NumericResolution)
+	if err != nil {
+		return nil, err
 	}
 
 	// Per-channel resistance, including linearized minor losses — a
@@ -301,7 +334,7 @@ func buildNetwork(ctx context.Context, d *core.Design, opt Options) (*builtNetwo
 			// the truth-model duct resistances.
 			r, err = fluid.ResistanceExact(c.Cross, c.Length, mu)
 		case ModelNumeric:
-			r, err = NumericResistanceContext(ctx, c.Cross, c.Length, mu, numericN, opt.Scheme)
+			r, err = NumericResistanceContext(ctx, c.Cross, c.Length, mu, numericN)
 			if err != nil && errors.Is(err, context.DeadlineExceeded) {
 				r, err = fluid.ResistanceExact(c.Cross, c.Length, mu)
 				if err == nil {

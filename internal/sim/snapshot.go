@@ -7,41 +7,9 @@ import (
 	"ooc/internal/cachesnap"
 )
 
-// schemeSpellings pairs the private cache-key scheme enum with the
-// self-describing spellings used by the snapshot format. The set is
-// pinned by cachesnap's schema hash: renaming or extending it must
-// bump the schema descriptor there.
-var schemeSpellings = [...]struct {
-	scheme solveScheme
-	name   string
-}{
-	{schemeFDMSOR, "sor"},
-	{schemeFDMMG, "mg"},
-}
-
-// schemeSpelling returns the snapshot spelling of a scheme.
-func schemeSpelling(scheme solveScheme) string {
-	for _, sp := range schemeSpellings {
-		if sp.scheme == scheme {
-			return sp.name
-		}
-	}
-	return ""
-}
-
-// schemeFromSpelling is the inverse of schemeSpelling.
-func schemeFromSpelling(name string) (solveScheme, bool) {
-	for _, sp := range schemeSpellings {
-		if sp.name == name {
-			return sp.scheme, true
-		}
-	}
-	return 0, false
-}
-
 // ExportCrossSectionCache returns every *completed, successful*
-// cross-section solve as snapshot entries, sorted by (aspect, n,
-// scheme) so identical cache states export identical slices. In-flight
+// cross-section solve as snapshot entries, sorted by (aspect, n) so
+// identical cache states export identical slices. In-flight
 // slots are skipped: their values do not exist yet, and serializing a
 // waiter's slot would resurrect it as a bogus completed entry on
 // import. Failed solves never stay in the cache at all (the owner
@@ -66,7 +34,6 @@ func ExportCrossSectionCache() []cachesnap.CrossSectionEntry {
 		entries = append(entries, cachesnap.CrossSectionEntry{
 			Aspect: key.aspect,
 			N:      key.n,
-			Scheme: schemeSpelling(key.scheme),
 			Value:  e.val,
 		})
 	}
@@ -76,10 +43,7 @@ func ExportCrossSectionCache() []cachesnap.CrossSectionEntry {
 		if a.Aspect != b.Aspect {
 			return a.Aspect < b.Aspect
 		}
-		if a.N != b.N {
-			return a.N < b.N
-		}
-		return a.Scheme < b.Scheme
+		return a.N < b.N
 	})
 	return entries
 }
@@ -87,8 +51,9 @@ func ExportCrossSectionCache() []cachesnap.CrossSectionEntry {
 // ImportCrossSectionCache installs snapshot entries as completed cache
 // slots and reports how many were added. Entries are re-validated one
 // by one — a snapshot may arrive over the network, and a value that
-// violates the solver's own invariants (aspect < 1, n < 8, a
-// non-positive or non-finite integral, an unknown scheme) is skipped
+// violates the solver's own invariants (aspect < 1, n outside
+// [8, MaxNumericResolution], a non-positive or non-finite integral) is
+// skipped
 // rather than trusted. Keys already present (completed or in flight)
 // are left untouched: the live process's entry wins over the imported
 // one, and an in-flight owner must never have its slot replaced
@@ -98,20 +63,16 @@ func ImportCrossSectionCache(entries []cachesnap.CrossSectionEntry) int {
 	defer crossSectionCache.Unlock()
 	added := 0
 	for _, ent := range entries {
-		scheme, ok := schemeFromSpelling(ent.Scheme)
-		if !ok {
-			continue
-		}
 		if ent.Aspect < 1 || math.IsInf(ent.Aspect, 0) || math.IsNaN(ent.Aspect) {
 			continue
 		}
-		if ent.N < 8 {
+		if checkNumericResolution(ent.N) != nil {
 			continue
 		}
 		if !(ent.Value > 0) || math.IsInf(ent.Value, 0) {
 			continue
 		}
-		key := crossSectionKey{aspect: ent.Aspect, n: ent.N, scheme: scheme}
+		key := crossSectionKey{aspect: ent.Aspect, n: ent.N}
 		if _, exists := crossSectionCache.m[key]; exists {
 			continue
 		}

@@ -54,7 +54,7 @@ func TestCrossSectionExportImportRoundTrip(t *testing.T) {
 	col := obs.NewCollector()
 	ctx := obs.WithCollector(context.Background(), col)
 	for i, cs := range sections {
-		r, err := NumericResistanceContext(ctx, cs, l, mu, 16, SchemeAuto)
+		r, err := NumericResistanceContext(ctx, cs, l, mu, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,22 +71,22 @@ func TestCrossSectionExportImportRoundTrip(t *testing.T) {
 }
 
 // TestImportSkipsInvalidEntries: entries violating solver invariants
-// (unknown scheme, sub-unity aspect, coarse n, non-positive or
-// non-finite values) and duplicates of live keys are skipped, not
+// (sub-unity aspect, n out of range, non-positive or non-finite
+// values) and duplicates of live keys are skipped, not
 // trusted — a snapshot can arrive from the network.
 func TestImportSkipsInvalidEntries(t *testing.T) {
 	ResetCrossSectionCache()
-	valid := cachesnap.CrossSectionEntry{Aspect: 2, N: 16, Scheme: "sor", Value: 0.03}
+	valid := cachesnap.CrossSectionEntry{Aspect: 2, N: 16, Value: 0.03}
 	bad := []cachesnap.CrossSectionEntry{
-		{Aspect: 2, N: 16, Scheme: "spectral", Value: 0.03},
-		{Aspect: 0.5, N: 16, Scheme: "sor", Value: 0.03},
-		{Aspect: math.NaN(), N: 16, Scheme: "sor", Value: 0.03},
-		{Aspect: math.Inf(1), N: 16, Scheme: "sor", Value: 0.03},
-		{Aspect: 2, N: 4, Scheme: "sor", Value: 0.03},
-		{Aspect: 2, N: 16, Scheme: "sor", Value: 0},
-		{Aspect: 2, N: 16, Scheme: "sor", Value: -1},
-		{Aspect: 2, N: 16, Scheme: "sor", Value: math.Inf(1)},
-		{Aspect: 2, N: 16, Scheme: "sor", Value: math.NaN()},
+		{Aspect: 0.5, N: 16, Value: 0.03},
+		{Aspect: math.NaN(), N: 16, Value: 0.03},
+		{Aspect: math.Inf(1), N: 16, Value: 0.03},
+		{Aspect: 2, N: 4, Value: 0.03},
+		{Aspect: 2, N: MaxNumericResolution + 1, Value: 0.03},
+		{Aspect: 2, N: 16, Value: 0},
+		{Aspect: 2, N: 16, Value: -1},
+		{Aspect: 2, N: 16, Value: math.Inf(1)},
+		{Aspect: 2, N: 16, Value: math.NaN()},
 	}
 	if got := ImportCrossSectionCache(append(bad, valid)); got != 1 {
 		t.Fatalf("imported %d entries, want only the valid one", got)
@@ -107,7 +107,7 @@ func TestImportSkipsInvalidEntries(t *testing.T) {
 func TestCrossSectionCompletedCountExcludesInFlight(t *testing.T) {
 	ResetCrossSectionCache()
 	// Install an in-flight slot by hand (owner never finishes).
-	key := crossSectionKey{aspect: 3, n: 16, scheme: schemeFDMSOR}
+	key := crossSectionKey{aspect: 3, n: 16}
 	crossSectionCache.Lock()
 	crossSectionCache.m[key] = &csEntry{done: make(chan struct{})}
 	crossSectionCache.Unlock()
@@ -126,7 +126,7 @@ func TestCrossSectionCompletedCountExcludesInFlight(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	crossSectionCache.Lock()
-	crossSectionCache.m[crossSectionKey{aspect: 4, n: 16, scheme: schemeFDMSOR}] = &csEntry{done: done, val: 0.01}
+	crossSectionCache.m[crossSectionKey{aspect: 4, n: 16}] = &csEntry{done: done, val: 0.01}
 	crossSectionCache.Unlock()
 	if total, completed := CrossSectionCacheSize(), CrossSectionCacheSizeCompleted(); total != 2 || completed != 1 {
 		t.Fatalf("size %d / completed %d, want 2 / 1", total, completed)
@@ -144,7 +144,7 @@ func TestCrossSectionCompletedCountExcludesInFlight(t *testing.T) {
 // waiter), 1 hit (the retry), never 2 hits.
 func TestJoinAbortNotCountedAsHit(t *testing.T) {
 	ResetCrossSectionCache()
-	key := crossSectionKey{aspect: 1.7, n: 16, scheme: schemeFDMSOR}
+	key := crossSectionKey{aspect: 1.7, n: 16}
 
 	// Install the in-flight slot the waiter will join.
 	e := &csEntry{done: make(chan struct{})}
@@ -221,7 +221,7 @@ func TestResetDoesNotResurrectInFlightSuccess(t *testing.T) {
 	// the entry exists.
 	col := obs.NewCollector()
 	ctx := obs.WithCollector(context.Background(), col)
-	if _, err := NumericResistanceContext(ctx, cs, l, mu, 64, SchemeAuto); err != nil {
+	if _, err := NumericResistanceContext(ctx, cs, l, mu, 64); err != nil {
 		t.Fatal(err)
 	}
 	if snap := col.Snapshot(); snap.CacheMisses != 1 || snap.CacheHits != 0 {

@@ -178,8 +178,8 @@ type (
 )
 
 // DefaultValidationOptions returns the documented validation defaults
-// (exact model, auto Poisson scheme, no error budget) — the intended
-// starting point before overriding fields.
+// (exact model, default numeric resolution, no error budget) — the
+// intended starting point before overriding fields.
 func DefaultValidationOptions() ValidationOptions { return sim.DefaultOptions() }
 
 // Validation models.

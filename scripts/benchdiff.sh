@@ -5,7 +5,7 @@
 # override with $1). Exits nonzero and lists every violation when the
 # fresh run regresses. Tolerances live in cmd/oocbench
 # (-diff-acc-tol, -diff-wall-tol, -diff-iter-tol); accuracy cells are
-# bit-deterministic for a fixed model/scheme/grid, so the default band
+# bit-deterministic for a fixed model and grid, so the default band
 # only absorbs cross-platform floating point.
 set -eu
 

@@ -87,26 +87,6 @@ cancel_smoke() {
 }
 step cancel-smoke cancel_smoke
 
-# Scheme smoke: an unknown -scheme is a usage error (exit 2, valid
-# spellings listed), and a forced-multigrid telemetry run must report
-# per-level multigrid stats.
-scheme_smoke() {
-    if out=$("$WORK/oocbench" -scheme spectral -fig4 2>&1); then
-        echo "oocbench -scheme spectral should have exited nonzero" >&2
-        return 1
-    fi
-    echo "$out" | grep -q "valid schemes" || {
-        echo "oocbench -scheme error did not list the valid schemes:" >&2
-        echo "$out" >&2
-        return 1
-    }
-    "$WORK/oocbench" -fig4 -stats -model numeric -scheme mg | grep -q "mg levels:" || {
-        echo "oocbench -scheme mg -stats did not report multigrid level telemetry" >&2
-        return 1
-    }
-}
-step scheme-smoke scheme_smoke
-
 # Telemetry smoke: -stats on the Fig. 4 instance must report cache
 # traffic with a positive hit rate (same-aspect channels share one
 # normalized cross-section solve).
