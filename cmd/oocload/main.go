@@ -419,7 +419,7 @@ func dynamicProbe(base, spec string) error {
 		return fmt.Errorf("dynamic validate: dosed run reported no arrival times: %s", raw)
 	}
 
-	status, err := post(client, base+"/v1/validate?model=dynamic&duration=24h&timeout=1s", body)
+	status, err := post(client, base+"/v1/validate?model=dynamic&duration=3000s&timeout=100ms", body)
 	if err != nil {
 		return fmt.Errorf("over-budget dynamic validate: %w", err)
 	}

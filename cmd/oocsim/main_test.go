@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +70,9 @@ func TestDynamicFlagValidation(t *testing.T) {
 		{name: "zero duration", dur: 0, profile: "constant", wantErr: "duration"},
 		{name: "bad profile", dur: time.Second, profile: "square:1s", wantErr: "profile"},
 		{name: "negative dose", dur: time.Second, profile: "constant", dose: -1, wantErr: "dose"},
+		{name: "NaN dose", dur: time.Second, profile: "constant", dose: math.NaN(), wantErr: "dose"},
+		{name: "infinite dose", dur: time.Second, profile: "constant", dose: math.Inf(1), wantErr: "dose"},
+		{name: "NaN pulse depth", dur: time.Second, profile: "pulse:NaN@1s", wantErr: "amplitude"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

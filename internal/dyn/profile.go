@@ -43,21 +43,22 @@ type Profile struct {
 // the oocd query parameter) stays in sync with ParseProfile.
 const ProfileNames = "constant, ramp:<rise> (e.g. ramp:2s), pulse:<depth>@<period> (e.g. pulse:0.5@1s)"
 
-// Validate checks the shape parameters of the profile's kind.
+// Validate checks the shape parameters of the profile's kind; NaN and
+// ±Inf are rejected.
 func (p Profile) Validate() error {
 	switch p.Kind {
 	case ProfileConstant:
 		return nil
 	case ProfileRamp:
-		if p.RampTime <= 0 {
-			return fmt.Errorf("dyn: ramp profile needs a positive rise time, got %g s", p.RampTime)
+		if !positive(p.RampTime) {
+			return fmt.Errorf("dyn: ramp profile needs a positive, finite rise time, got %g s", p.RampTime)
 		}
 		return nil
 	case ProfilePulse:
-		if p.Period <= 0 {
-			return fmt.Errorf("dyn: pulse profile needs a positive period, got %g s", p.Period)
+		if !positive(p.Period) {
+			return fmt.Errorf("dyn: pulse profile needs a positive, finite period, got %g s", p.Period)
 		}
-		if p.Amplitude <= 0 || p.Amplitude > 1 {
+		if !(p.Amplitude > 0 && p.Amplitude <= 1) {
 			return fmt.Errorf("dyn: pulse amplitude %g outside (0, 1]; deeper modulation would reverse the pump", p.Amplitude)
 		}
 		return nil

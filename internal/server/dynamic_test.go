@@ -2,8 +2,10 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -107,8 +109,9 @@ func TestValidateDynamicSpecies(t *testing.T) {
 }
 
 // TestValidateDynamicBadRequests pins the 4xx surface: a duration that
-// cannot fit the deadline budget, malformed transient parameters, and
-// transient parameters leaking onto a steady-state model.
+// cannot fit the deadline budget, one whose series would exceed the
+// sample cap, malformed transient parameters, and transient parameters
+// leaking onto a steady-state model.
 func TestValidateDynamicBadRequests(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -118,7 +121,8 @@ func TestValidateDynamicBadRequests(t *testing.T) {
 	cases := []struct {
 		name, query, wantSubstr string
 	}{
-		{"over budget", "?model=dynamic&duration=24h&timeout=1s", "deadline budget"},
+		{"over budget", "?model=dynamic&duration=3000s&timeout=100ms", "deadline budget"},
+		{"too many samples", "?model=dynamic&duration=24h&timeout=1s", "samples"},
 		{"bad duration", "?model=dynamic&duration=banana", "invalid duration"},
 		{"negative duration", "?model=dynamic&duration=-2s", "invalid duration"},
 		{"bad profile", "?model=dynamic&profile=square:1s", "profile"},
@@ -137,6 +141,65 @@ func TestValidateDynamicBadRequests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestValidateDynamicNonFinite: NaN and infinite transient parameters
+// are a synchronous 400 — before this check they ran the whole solve
+// and then failed to encode the NaN-laden result as a 500.
+func TestValidateDynamicNonFinite(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := specBody(t, "male_simple")
+	for _, query := range []string{
+		"?model=dynamic&duration=1s&dose=NaN",
+		"?model=dynamic&duration=1s&dose=Inf",
+		"?model=dynamic&duration=1s&profile=pulse:NaN@1s",
+	} {
+		t.Run(query, func(t *testing.T) {
+			resp, raw := post(t, ts.Client(), ts.URL+"/v1/validate"+query, body, nil)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d: %s", resp.StatusCode, raw)
+			}
+		})
+	}
+	if steps := s.Collector().Snapshot().Counter("dyn.steps"); steps != 0 {
+		t.Errorf("rejected requests ran %d transient steps, want none", steps)
+	}
+}
+
+// FuzzParseDynamicQuery: whatever ?duration=, ?profile= and ?dose= say,
+// parseDynamicQuery either rejects them or yields options that
+// validate and carry only finite floats.
+func FuzzParseDynamicQuery(f *testing.F) {
+	f.Add("", "", "NaN")
+	f.Add("", "", "Inf")
+	f.Add("", "pulse:NaN@1s", "")
+	f.Add("", "", "1e308")
+	f.Add("", "ramp:1ns", "")
+	f.Add("2s", "pulse:0.5@250ms", "1")
+	f.Fuzz(func(t *testing.T, duration, profile, dose string) {
+		q := url.Values{}
+		q.Set("duration", duration)
+		q.Set("profile", profile)
+		q.Set("dose", dose)
+		o := sim.DefaultDynamicOptions()
+		if err := parseDynamicQuery(q, &o); err != nil {
+			return
+		}
+		if err := o.Validate(); err != nil {
+			t.Fatalf("parsed options fail Validate: %v", err)
+		}
+		for _, v := range []float64{
+			o.StepTol, o.Compliance,
+			o.Profile.RampTime, o.Profile.Amplitude, o.Profile.Period,
+			o.Species.DoseConcentration, o.Species.DoseStart, o.Species.DoseDuration, o.Species.ArrivalThreshold,
+		} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("parsed options carry a non-finite value: %+v", o)
+			}
+		}
+	})
 }
 
 // TestCheckDynamicBudget pins the admission gate to the measured step
