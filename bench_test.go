@@ -453,9 +453,11 @@ func BenchmarkTransportBolus(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var res *ooc.TransportResult
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ooc.SimulateTransport(d, ooc.TransportConfig{Bolus: 1e-9, Duration: 10})
+		res, err = ooc.SimulateTransport(d, ooc.TransportConfig{Bolus: 1e-9, Duration: 10})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -463,6 +465,7 @@ func BenchmarkTransportBolus(b *testing.B) {
 			b.Fatal("mass balance")
 		}
 	}
+	b.ReportMetric(float64(res.Steps), "steps")
 }
 
 // BenchmarkToleranceAnalysis measures the Monte Carlo fabrication

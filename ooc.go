@@ -45,7 +45,6 @@ import (
 	"ooc/internal/render"
 	"ooc/internal/review"
 	"ooc/internal/sim"
-	"ooc/internal/transport"
 	"ooc/internal/units"
 )
 
@@ -302,21 +301,23 @@ func KilogramsPerCubicMetre(v float64) Density { return units.KilogramsPerCubicM
 type (
 	// TransportConfig sets up a compound-transport simulation
 	// (infusion or bolus, per-module kinetics).
-	TransportConfig = transport.Config
+	TransportConfig = sim.TransportConfig
 	// TransportResult holds per-module exposure metrics (peak, AUC,
 	// washout) and solver self-checks.
-	TransportResult = transport.Result
+	TransportResult = sim.TransportResult
 	// ModuleKinetics is a compound's clearance/secretion in one module.
-	ModuleKinetics = transport.ModuleKinetics
+	ModuleKinetics = sim.ModuleKinetics
 	// ModuleExposure is one module's concentration history summary.
-	ModuleExposure = transport.ModuleExposure
+	ModuleExposure = sim.ModuleExposure
 )
 
 // SimulateTransport runs a compound-transport simulation on a
 // generated design: how a drug or cytokine distributes between the
-// organ modules through the circulating fluid.
+// organ modules through the circulating fluid. The flows come from the
+// design flow plan (each channel's DesignFlow); the species step is the
+// transient tier's, without a pressure solve.
 func SimulateTransport(d *Design, cfg TransportConfig) (*TransportResult, error) {
-	return transport.Simulate(d, cfg)
+	return sim.SimulateTransport(context.Background(), d, cfg)
 }
 
 // Fabrication tolerance analysis.
