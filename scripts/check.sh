@@ -60,6 +60,45 @@ perfbench_tests() {
 }
 step perfbench-tests perfbench_tests
 
+# Fuzz smoke: every native fuzz target runs for a short fixed budget
+# instead of only replaying its seeds. A failing input is written under
+# the package's testdata/fuzz directory, ready to commit as a seed.
+fuzz_smoke() {
+    for _target in \
+        ./internal/specio:FuzzCanonicalRoundTrip \
+        ./internal/cachesnap:FuzzRead \
+        ./internal/analysis:FuzzBaselineRoundTrip \
+        ./internal/server:FuzzParseDynamicQuery; do
+        go test -run '^$' -fuzz "^${_target#*:}\$" -fuzztime=5s "${_target%%:*}" || return 1
+    done
+}
+step fuzz-smoke fuzz_smoke
+
+# Examples smoke: `go build ./...` compiles examples/ but nothing runs
+# them, so a runtime break in a public API would ship unnoticed. Build
+# and run all seven; they run inside $WORK because male_simple and
+# patient_specific write .svg, .json and .png files into the current
+# directory.
+examples_smoke() {
+    mkdir -p "$WORK/examples"
+    go build -o "$WORK/examples/" ./examples/...
+    _ran=0
+    for _bin in "$WORK"/examples/*; do
+        _ex=$(basename "$_bin")
+        (cd "$WORK" && "$_bin") > "$WORK/example-$_ex.out" 2>&1 || {
+            echo "example $_ex failed:" >&2
+            cat "$WORK/example-$_ex.out" >&2
+            return 1
+        }
+        _ran=$((_ran + 1))
+    done
+    [ "$_ran" -eq 7 ] || {
+        echo "examples smoke ran $_ran examples, want 7" >&2
+        return 1
+    }
+}
+step examples-smoke examples_smoke
+
 # Smoke-run the headline benchmarks once (-benchtime=1x): catches
 # bit-rot in the parallel evaluation path and the cross-section cache
 # without paying for a full measurement run.
