@@ -58,10 +58,8 @@ func runCalibrate(ctx context.Context, cfg config, out, errOut io.Writer) error 
 }
 
 // calibrationDoc sweeps the paper grid across the ladder and the
-// reference rung and assembles the bounds document. Each numeric rung
-// solves with the backend its resolution picks (SOR below 64,
-// multigrid at and above), exactly as budget-selected rungs are
-// served.
+// reference rung and assembles the bounds document. The numeric
+// reference solves with the backend its resolution picks.
 func calibrationDoc(ctx context.Context, workers int) (modelsel.Doc, error) {
 	cases := usecases.All()
 	instances := usecases.Instances(cases, usecases.PaperSweep())
@@ -79,10 +77,9 @@ func calibrationDoc(ctx context.Context, workers int) (modelsel.Doc, error) {
 			return modelsel.Doc{}, err
 		}
 		rd := modelsel.RungDoc{
-			Name:       spec.Name,
-			Model:      spec.Model.String(),
-			Resolution: spec.Resolution,
-			CostRank:   rank + 1,
+			Name:     spec.Name,
+			Model:    spec.Model.String(),
+			CostRank: rank + 1,
 		}
 		for _, uc := range cases {
 			b := boundOver(instances, reps, refReps, uc.Name)
@@ -131,11 +128,11 @@ func boundOver(instances []usecases.Instance, reps, refReps []*sim.Report, useCa
 }
 
 // calibDiff compares a fresh calibration document against the
-// committed baseline at cfg.diffPath. Rung identity (model,
-// resolution, cost rank) and document provenance (grid, reference)
-// gate exactly; bounds gate within -calib-tol, which only absorbs
-// cross-platform floating point — the underlying numbers are
-// bit-deterministic on one platform. Every drift is reported before
+// committed baseline at cfg.diffPath. Rung identity (model, cost
+// rank) and document provenance (grid, reference) gate exactly;
+// bounds gate within -calib-tol, which only absorbs cross-platform
+// floating point — the underlying numbers are bit-deterministic on
+// one platform. Every drift is reported before
 // the nonzero exit, with the regeneration command naming the actual
 // baseline path.
 func calibDiff(cfg config, fresh modelsel.Doc, out, errOut io.Writer) error {
@@ -184,9 +181,9 @@ func calibDiff(cfg config, fresh modelsel.Doc, out, errOut io.Writer) error {
 			continue
 		}
 		matched[fr.Name] = true
-		if br.Model != fr.Model || br.Resolution != fr.Resolution || br.CostRank != fr.CostRank {
-			fail("rung %q identity changed: %s@%d rank %d -> %s@%d rank %d",
-				fr.Name, br.Model, br.Resolution, br.CostRank, fr.Model, fr.Resolution, fr.CostRank)
+		if br.Model != fr.Model || br.CostRank != fr.CostRank {
+			fail("rung %q identity changed: %s rank %d -> %s rank %d",
+				fr.Name, br.Model, br.CostRank, fr.Model, fr.CostRank)
 		}
 		checkBounds(fr.Name, "global", br.Global, fr.Global)
 		baseUC := make(map[string]modelsel.Bounds, len(br.UseCases))

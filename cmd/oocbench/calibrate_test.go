@@ -90,8 +90,8 @@ func TestBudgetFlagSelection(t *testing.T) {
 	if sel == nil {
 		t.Fatal("budget set but no rung selected")
 	}
-	if opt.Model != sel.Model || opt.NumericResolution != sel.Resolution {
-		t.Fatalf("options %v@%d do not match selected rung %s", opt.Model, opt.NumericResolution, sel.Name)
+	if opt.Model != sel.Model {
+		t.Fatalf("options model %v does not match selected rung %s", opt.Model, sel.Name)
 	}
 	if fmt.Sprintf("%g", opt.ErrorBudget) != "0.01" {
 		t.Fatalf("ErrorBudget %g not threaded into options", opt.ErrorBudget)

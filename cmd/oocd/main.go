@@ -15,8 +15,8 @@
 //	GET    /v1/jobs             list retained jobs
 //	GET    /v1/jobs/{id}        poll job progress / final result
 //	DELETE /v1/jobs/{id}        cancel a job cooperatively
-//	GET  /v1/cache              export both caches as a versioned
-//	                            snapshot (peer fill)
+//	GET  /v1/cache              export the response cache as a
+//	                            versioned snapshot (peer fill)
 //	PUT  /v1/cache              import a snapshot (409 on version or
 //	                            schema mismatch, 400 on corruption)
 //	GET  /healthz               liveness
@@ -25,17 +25,19 @@
 // ?model=dynamic selects the transient tier and adds ?duration=,
 // ?profile= (constant, ramp:<rise>, pulse:<depth>@<period>) and
 // ?dose=; a simulated span that cannot fit the request's deadline
-// budget is rejected up front with 400.
+// budget is rejected up front with 400. ?model=numeric is a 400 too:
+// the FDM cross-section solve is an offline oracle, run by
+// oocsim -model numeric.
 //
-// -cache-snapshot makes the caches survive restarts: the daemon loads
-// the snapshot file at boot (a missing file starts cold quietly; a
-// corrupt or version-mismatched one is rejected with a clear error and
-// the daemon still starts cold), persists it every -snapshot-interval,
-// and persists once more after the graceful drain. Writes are atomic
-// (temp file + rename), so a crash mid-write never corrupts the last
-// good snapshot. -peer-fill warms a fresh replica from a running
-// peer's GET /v1/cache at boot; failure to reach the peer is a
-// warning, not a fatal error.
+// -cache-snapshot makes the response cache survive restarts: the
+// daemon loads the snapshot file at boot (a missing file starts cold
+// quietly; a corrupt or version-mismatched one is rejected with a
+// clear error and the daemon still starts cold), persists it every
+// -snapshot-interval, and persists once more after the graceful
+// drain. Writes are atomic (temp file + rename), so a crash mid-write
+// never corrupts the last good snapshot. -peer-fill warms a fresh
+// replica from a running peer's GET /v1/cache at boot; failure to
+// reach the peer is a warning, not a fatal error.
 //
 // Every request runs under a deadline budget: the -timeout default,
 // overridable per request with ?timeout= up to -max-timeout.
@@ -114,7 +116,7 @@ func main() {
 	flag.DurationVar(&cfg.jobMaxTimeout, "job-max-timeout", 0, "cap on client-requested job timeouts (0 = 30m)")
 	flag.StringVar(&cfg.cacheSnapshot, "cache-snapshot", "", "cache snapshot file: loaded at boot, persisted periodically and on graceful drain")
 	flag.DurationVar(&cfg.snapshotEvery, "snapshot-interval", time.Minute, "how often to persist -cache-snapshot (0 disables periodic persists)")
-	flag.StringVar(&cfg.peerFill, "peer-fill", "", "base URL of a running peer to warm the caches from at boot (GET <url>/v1/cache)")
+	flag.StringVar(&cfg.peerFill, "peer-fill", "", "base URL of a running peer to warm the response cache from at boot (GET <url>/v1/cache)")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: oocd [flags]")
@@ -165,7 +167,7 @@ func run(addr string, snap snapshotConfig, cfg server.Config, stats bool) error 
 	}
 	s := server.New(cfg)
 
-	// Warm the caches before announcing the listener: a snapshot or
+	// Warm the cache before announcing the listener: a snapshot or
 	// peer that fails to load is a warning, never a fatal error — the
 	// daemon always starts, cold at worst.
 	if snap.path != "" {
@@ -232,8 +234,7 @@ func loadSnapshotFile(s *server.Server, path string) {
 		return
 	}
 	st := s.RestoreSnapshot(snap)
-	fmt.Fprintf(os.Stderr, "oocd: cache snapshot %s: restored %d responses, %d cross-sections\n",
-		path, st.Responses, st.CrossSections)
+	fmt.Fprintf(os.Stderr, "oocd: cache snapshot %s: restored %d responses\n", path, st.Responses)
 }
 
 // persistSnapshot writes the live cache state to path atomically.
@@ -265,6 +266,5 @@ func peerFill(s *server.Server, base string) {
 		fmt.Fprintf(os.Stderr, "oocd: peer snapshot from %s rejected (%v); starting cold\n", base, err)
 		return
 	}
-	fmt.Fprintf(os.Stderr, "oocd: peer fill from %s: restored %d responses, %d cross-sections\n",
-		base, st.Responses, st.CrossSections)
+	fmt.Fprintf(os.Stderr, "oocd: peer fill from %s: restored %d responses\n", base, st.Responses)
 }

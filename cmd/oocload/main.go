@@ -16,7 +16,7 @@
 // Usage:
 //
 //	oocload -url http://localhost:8080 -n 200 -c 8
-//	oocload -url http://localhost:8080 -endpoint validate -model numeric
+//	oocload -url http://localhost:8080 -endpoint validate -model approx
 //	oocload -targets http://localhost:8080,http://localhost:8081 -distinct
 //	oocload -url http://localhost:8080 -smoke     # health+design+metrics probe
 //	oocload -url http://localhost:8080 -jobs      # async /v1/jobs search probe

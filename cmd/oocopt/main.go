@@ -26,7 +26,7 @@
 //
 //	oocopt -usecase male_simple
 //	oocopt -usecase male_simple -strategy halving -stats
-//	oocopt -spec myspec.json -objective pressure -model numeric -timeout 2m
+//	oocopt -spec myspec.json -objective pressure -model approx -timeout 2m
 //	oocopt -usecase male_simple -budget 0.001
 //	oocopt -usecase male_simple -heights 100,150,200 -gaps 2,3
 package main
@@ -59,7 +59,6 @@ type config struct {
 	objective    string
 	strategy     string
 	model        string
-	resolution   int
 	heights      string
 	gaps         string
 	maxDeviation float64
@@ -78,7 +77,6 @@ func main() {
 	flag.StringVar(&cfg.objective, "objective", "area", "objective to minimize: area, pressure or flow")
 	flag.StringVar(&cfg.strategy, "strategy", "grid", "search strategy: grid or halving")
 	flag.StringVar(&cfg.model, "model", "exact", "full-fidelity resistance model: "+sim.ModelNames)
-	flag.IntVar(&cfg.resolution, "resolution", 0, "numeric model cross-section resolution (0 = 32)")
 	flag.StringVar(&cfg.heights, "heights", "", "comma-separated candidate channel heights in µm (default 100,125,150,175,200)")
 	flag.StringVar(&cfg.gaps, "gaps", "", "comma-separated candidate module gaps in mm (default 2,2.5,3,4)")
 	flag.Float64Var(&cfg.maxDeviation, "max-deviation", 0.05, "flow-deviation feasibility budget (fraction)")
@@ -189,8 +187,9 @@ func loadSpec(useCase, specPath string) (core.Spec, error) {
 	}
 }
 
-// searchOptions resolves the flags into search options. Unknown
-// spellings surface the valid names.
+// searchOptions resolves the flags into search options and runs the
+// search's own options check. Unknown spellings surface the valid
+// names.
 func searchOptions(cfg config) (optimize.Options, error) {
 	var opt optimize.Options
 	var err error
@@ -208,10 +207,6 @@ func searchOptions(cfg config) (optimize.Options, error) {
 		// transient defaults are the right configuration.
 		opt.Sim.Dynamic = sim.DefaultDynamicOptions()
 	}
-	if _, err := sim.ResolveNumericResolution(cfg.resolution); err != nil {
-		return optimize.Options{}, fmt.Errorf("-resolution: %w", err)
-	}
-	opt.Sim.NumericResolution = cfg.resolution
 	opt.Constraints = optimize.Constraints{MaxFlowDeviation: cfg.maxDeviation}
 	if cfg.maxPressure > 0 {
 		opt.Constraints.MaxPumpPressure = units.Pascals(cfg.maxPressure)
@@ -224,6 +219,9 @@ func searchOptions(cfg config) (optimize.Options, error) {
 	}
 	opt.HalvingEta = cfg.eta
 	opt.Workers = cfg.workers
+	if err := optimize.CheckOptions(opt); err != nil {
+		return optimize.Options{}, err
+	}
 	return opt, nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -39,6 +40,13 @@ func TestFlagValidation(t *testing.T) {
 		t.Fatalf("dynamic options not populated: %v", err)
 	}
 
+	// A grid exactly at the candidate cap is accepted.
+	capped := base
+	capped.heights, capped.gaps = axisFlag(64, 100), axisFlag(64, 2)
+	if _, err := searchOptions(capped); err != nil {
+		t.Fatalf("64 × 64 axes: %v", err)
+	}
+
 	for _, tc := range []struct {
 		mutate func(*config)
 		names  string
@@ -46,8 +54,10 @@ func TestFlagValidation(t *testing.T) {
 		{func(c *config) { c.objective = "beauty" }, optimize.ObjectiveNames},
 		{func(c *config) { c.strategy = "annealing" }, optimize.StrategyNames},
 		{func(c *config) { c.model = "bogus" }, sim.ModelNames},
-		{func(c *config) { c.resolution = 1000000 }, "-resolution: sim: numeric resolution 1000000 out of range"},
-		{func(c *config) { c.resolution = -1 }, "-resolution: sim: numeric resolution -1 out of range"},
+		// The search's own options check runs before any work: the
+		// numeric model and a grid over the candidate cap exit 2.
+		{func(c *config) { c.model = "numeric" }, "oocsim -model numeric"},
+		{func(c *config) { c.heights = axisFlag(65, 100); c.gaps = axisFlag(64, 2) }, "cap of 4096 candidates"},
 		{func(c *config) { c.heights = "100,banana" }, "-heights"},
 		{func(c *config) { c.gaps = "2,-3" }, "-gaps"},
 	} {
@@ -59,6 +69,16 @@ func TestFlagValidation(t *testing.T) {
 			t.Errorf("error %v does not mention %q", err, tc.names)
 		}
 	}
+}
+
+// axisFlag renders an n-value comma-separated axis flag counting up
+// from first.
+func axisFlag(n int, first float64) string {
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = strconv.FormatFloat(first+float64(i), 'g', -1, 64)
+	}
+	return strings.Join(vals, ",")
 }
 
 // TestParseAxis: comma-separated values convert through the unit

@@ -1,7 +1,6 @@
 // Package cachesnap defines the versioned on-disk (and on-wire)
-// snapshot format that makes the two solve caches — the serving
-// layer's response cache and internal/sim's cross-section solve cache
-// — first-class, shareable infrastructure. A snapshot written by one
+// snapshot format that makes the serving layer's response cache
+// first-class, shareable infrastructure. A snapshot written by one
 // oocd process can be loaded by a restarted replica (-cache-snapshot)
 // or shipped to a booting peer (GET/PUT /v1/cache), so a fleet never
 // re-pays a cold solve a sibling already performed.
@@ -28,10 +27,9 @@
 // a snapshot was refused.
 //
 // Only completed, cacheable entries may appear in a snapshot:
-// in-flight slots, errors, and degraded reports are never serialized
-// (the exporters in internal/server and internal/sim enforce this; the
-// importers re-validate entry by entry anyway, because a snapshot may
-// arrive from the network).
+// in-flight slots and errors are never serialized (the exporter in
+// internal/server enforces this; the importer re-validates entry by
+// entry anyway, because a snapshot may arrive from the network).
 package cachesnap
 
 import (
@@ -60,17 +58,17 @@ const FormatVersion = 1
 // Bump (edit) it whenever any of the following changes, so old
 // snapshots are rejected instead of aliasing under new semantics:
 //
-//   - the response-cache key grammar assembled by internal/server
-//     ("design|<canonical-spec>" and
-//     "validate|<model>|<rendering>|<canonical-spec>");
+//   - the response-cache key grammar assembled by internal/server:
+//     "design|<canonical-spec>" and
+//     "validate|<model>[|<dynamic-options>][|budget=<b>|rung=<r>]|<rendering>|<canonical-spec>",
+//     where the dynamic options (sim.DynamicOptions.CacheKey) appear
+//     only for model dynamic and the budget and rung only for an
+//     ?error_budget= selection;
 //   - the specio.Canonical byte format (it is the spec identity);
-//   - the cross-section key fields (aspect, n);
-//   - the semantics of a stored value (e.g. the normalized-integral
-//     scaling).
+//   - the payload layout or the semantics of a stored response.
 const schemaDescriptor = "ooc-cache-snapshot/1;" +
-	"respkey{design|spec,validate|model|rendering|spec};" +
-	"response{key,status,content_type,body};" +
-	"xsection{aspect,n->value}"
+	"respkey{design|spec,validate|model[|dynamic-options][|budget=b|rung=r]|rendering|spec};" +
+	"response{key,status,content_type,body}"
 
 // ContentType is the MIME type of a snapshot on the wire
 // (GET/PUT /v1/cache).
@@ -104,21 +102,11 @@ type ResponseEntry struct {
 	Body        []byte `json:"body"`
 }
 
-// CrossSectionEntry is one completed cross-section solve: the
-// normalized-duct cache key and the memoized velocity integral.
-type CrossSectionEntry struct {
-	Aspect float64 `json:"aspect"`
-	N      int     `json:"n"`
-	Value  float64 `json:"value"`
-}
-
-// Snapshot is the payload: every completed, cacheable entry of both
-// caches. Exporters emit entries in a deterministic order (response
-// entries most-recently-used first, cross-section entries sorted by
-// key), so identical cache states serialize to identical bytes.
+// Snapshot is the payload: every completed, cacheable response-cache
+// entry. The exporter emits them most-recently-used first, so
+// identical cache states serialize to identical bytes.
 type Snapshot struct {
-	Responses     []ResponseEntry     `json:"responses,omitempty"`
-	CrossSections []CrossSectionEntry `json:"cross_sections,omitempty"`
+	Responses []ResponseEntry `json:"responses,omitempty"`
 }
 
 // schemaHash returns the 8-byte schema fingerprint embedded in every

@@ -6,30 +6,24 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// sample returns a snapshot exercising both caches, including bytes
-// that stress the encoding (binary body, float64s that must round-trip
-// bit-exactly).
+// sample returns a snapshot including bytes that stress the encoding
+// (a binary body).
 func sample() *Snapshot {
 	return &Snapshot{
 		Responses: []ResponseEntry{
 			{Key: "design|{\"name\":\"a\"}", Status: 200, ContentType: "application/json", Body: []byte("{\"ok\":true}\n")},
-			{Key: "validate|numeric|text|{}", Status: 200, ContentType: "text/plain; charset=utf-8", Body: []byte{0x00, 0xff, 0x7f}},
-		},
-		CrossSections: []CrossSectionEntry{
-			{Aspect: 1, N: 32, Value: 0.03512462971844},
-			{Aspect: math.Nextafter(2, 3), N: 64, Value: 1.0 / 3.0},
+			{Key: "validate|exact|text|{}", Status: 200, ContentType: "text/plain; charset=utf-8", Body: []byte{0x00, 0xff, 0x7f}},
 		},
 	}
 }
 
 // TestRoundTrip: Write then Read reproduces the snapshot exactly,
-// including bit-exact float64 keys/values and binary bodies.
+// including binary bodies.
 func TestRoundTrip(t *testing.T) {
 	want := sample()
 	var buf bytes.Buffer
@@ -40,22 +34,13 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Responses) != len(want.Responses) || len(got.CrossSections) != len(want.CrossSections) {
-		t.Fatalf("entry counts changed: %d/%d responses, %d/%d cross-sections",
-			len(got.Responses), len(want.Responses), len(got.CrossSections), len(want.CrossSections))
+	if len(got.Responses) != len(want.Responses) {
+		t.Fatalf("entry count changed: %d/%d responses", len(got.Responses), len(want.Responses))
 	}
 	for i := range want.Responses {
 		w, g := want.Responses[i], got.Responses[i]
 		if g.Key != w.Key || g.Status != w.Status || g.ContentType != w.ContentType || !bytes.Equal(g.Body, w.Body) {
 			t.Fatalf("response %d changed: %+v vs %+v", i, g, w)
-		}
-	}
-	for i := range want.CrossSections {
-		w, g := want.CrossSections[i], got.CrossSections[i]
-		if math.Float64bits(g.Aspect) != math.Float64bits(w.Aspect) ||
-			math.Float64bits(g.Value) != math.Float64bits(w.Value) ||
-			g.N != w.N {
-			t.Fatalf("cross-section %d changed: %+v vs %+v", i, g, w)
 		}
 	}
 }
@@ -86,7 +71,7 @@ func TestEmptySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Responses) != 0 || len(got.CrossSections) != 0 {
+	if len(got.Responses) != 0 {
 		t.Fatalf("empty snapshot read back entries: %+v", got)
 	}
 }
@@ -124,6 +109,14 @@ func TestRejections(t *testing.T) {
 				"response{key,status,content_type,body};" +
 				"xsection{aspect,n,scheme->value};" +
 				"schemes{sor,mg}"))
+			copy(b[12:20], old[:8])
+			return b
+		}, ErrSchema},
+		{"schema with a cross-section segment", func(b []byte) []byte {
+			old := sha256.Sum256([]byte("ooc-cache-snapshot/1;" +
+				"respkey{design|spec,validate|model|rendering|spec};" +
+				"response{key,status,content_type,body};" +
+				"xsection{aspect,n->value}"))
 			copy(b[12:20], old[:8])
 			return b
 		}, ErrSchema},
@@ -184,7 +177,7 @@ func TestFileRoundTripAndAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Responses) != 2 || len(got.CrossSections) != 2 {
+	if len(got.Responses) != 2 {
 		t.Fatalf("unexpected snapshot: %+v", got)
 	}
 	if err := WriteFile(path, &Snapshot{}); err != nil {
@@ -240,9 +233,8 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded snapshot rejected: %v", err)
 		}
-		if len(s2.Responses) != len(s.Responses) || len(s2.CrossSections) != len(s.CrossSections) {
-			t.Fatalf("re-encode changed entry counts: %d/%d, %d/%d",
-				len(s2.Responses), len(s.Responses), len(s2.CrossSections), len(s.CrossSections))
+		if len(s2.Responses) != len(s.Responses) {
+			t.Fatalf("re-encode changed the entry count: %d/%d", len(s2.Responses), len(s.Responses))
 		}
 	})
 }

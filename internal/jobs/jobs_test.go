@@ -12,7 +12,6 @@ import (
 	"ooc/internal/obs"
 	"ooc/internal/optimize"
 	"ooc/internal/physio"
-	"ooc/internal/sim"
 	"ooc/internal/units"
 )
 
@@ -148,13 +147,21 @@ func TestCancelBeforeStart(t *testing.T) {
 // criteria.
 func TestCancelMidRunReturnsPartialBest(t *testing.T) {
 	m := NewManager(Config{Collector: obs.NewCollector()})
-	// A real search against a spec sized so the run takes long enough
-	// to catch mid-flight: numeric fidelity, full default axes.
+	// A real search sized so the run takes long enough to catch
+	// mid-flight: 64 × 64 axes, the candidate cap, at exact fidelity.
+	axis := func(lo, hi float64, unit func(float64) units.Length) []units.Length {
+		out := make([]units.Length, 64)
+		for i := range out {
+			out[i] = unit(lo + (hi-lo)*float64(i)/float64(len(out)-1))
+		}
+		return out
+	}
 	st, err := m.Submit(Request{Spec: testSpec(), Options: optimize.Options{
-		Objective:   optimize.MinimizeArea,
-		Constraints: optimize.DefaultConstraints(),
-		Strategy:    optimize.StrategyHalving,
-		Sim:         sim.Options{Model: sim.ModelNumeric, NumericResolution: 64},
+		Objective:      optimize.MinimizeArea,
+		Constraints:    optimize.DefaultConstraints(),
+		Strategy:       optimize.StrategyHalving,
+		ChannelHeights: axis(100, 200, units.Micrometres),
+		MinGaps:        axis(2, 4, units.Millimetres),
 	}})
 	if err != nil {
 		t.Fatal(err)

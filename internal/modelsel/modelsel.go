@@ -53,12 +53,10 @@ type Doc struct {
 
 // RungDoc is one serving rung's calibration record.
 type RungDoc struct {
-	// Name is the rung's display spelling ("approx", "numeric@64").
+	// Name is the rung's display spelling ("approx", "exact").
 	Name string `json:"name"`
-	// Model is the sim.ParseModel spelling; Resolution is the FDM grid
-	// resolution for the numeric model (0 for the analytic models).
-	Model      string `json:"model"`
-	Resolution int    `json:"resolution,omitempty"`
+	// Model is the sim.ParseModel spelling: approx or exact.
+	Model string `json:"model"`
 	// CostRank orders the ladder: 1 is cheapest, selection walks
 	// ascending ranks and returns the first fit.
 	CostRank int `json:"cost_rank"`
@@ -125,12 +123,11 @@ func Reference() RungSpec {
 
 // Rung is one selectable rung of a validated Table.
 type Rung struct {
-	Name       string
-	Model      sim.Model
-	Resolution int
-	CostRank   int
-	Global     Bounds
-	useCases   map[string]Bounds
+	Name     string
+	Model    sim.Model
+	CostRank int
+	Global   Bounds
+	useCases map[string]Bounds
 }
 
 // Bound returns the rung's calibrated bound for a use case; use cases
@@ -143,10 +140,7 @@ func (r Rung) Bound(useCase string) Bounds {
 }
 
 // Apply configures opt to validate at this rung.
-func (r Rung) Apply(o *sim.Options) {
-	o.Model = r.Model
-	o.NumericResolution = r.Resolution
-}
+func (r Rung) Apply(o *sim.Options) { o.Model = r.Model }
 
 // Table is a parsed, validated calibration table ready for selection.
 type Table struct {
@@ -161,10 +155,12 @@ func (t *Table) Doc() Doc { return t.doc }
 func (t *Table) Rungs() []Rung { return t.rungs }
 
 // Parse validates a calibration document: schema match, at least one
-// rung, unique names and cost ranks, known non-dynamic models, and
+// rung, unique names and cost ranks, approx or exact models, and
 // finite non-negative bounds. Anything off is an error naming the
 // offending rung — a daemon must refuse to boot on a bad table rather
-// than mis-route traffic.
+// than mis-route traffic. The model whitelist is what keeps a budget
+// from ever selecting the FDM: numeric is the offline reference, and
+// dynamic answers a different question.
 func Parse(raw []byte) (*Table, error) {
 	var doc Doc
 	if err := json.Unmarshal(raw, &doc); err != nil {
@@ -195,8 +191,8 @@ func Parse(raw []byte) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("modelsel: rung %q: %w", rd.Name, err)
 		}
-		if model == sim.ModelDynamic {
-			return nil, fmt.Errorf("modelsel: rung %q: the transient tier cannot be a steady-state selection rung", rd.Name)
+		if model != sim.ModelApprox && model != sim.ModelExact {
+			return nil, fmt.Errorf("modelsel: rung %q: model %s cannot be a selection rung (want approx or exact; numeric is the offline reference, dynamic the transient tier)", rd.Name, model)
 		}
 		if rd.CostRank <= 0 {
 			return nil, fmt.Errorf("modelsel: rung %q has cost rank %d (want >= 1)", rd.Name, rd.CostRank)
@@ -209,12 +205,11 @@ func Parse(raw []byte) (*Table, error) {
 			return nil, err
 		}
 		r := Rung{
-			Name:       rd.Name,
-			Model:      model,
-			Resolution: rd.Resolution,
-			CostRank:   rd.CostRank,
-			Global:     rd.Global,
-			useCases:   make(map[string]Bounds, len(rd.UseCases)),
+			Name:     rd.Name,
+			Model:    model,
+			CostRank: rd.CostRank,
+			Global:   rd.Global,
+			useCases: make(map[string]Bounds, len(rd.UseCases)),
 		}
 		for _, uc := range rd.UseCases {
 			if uc.UseCase == "" {

@@ -11,8 +11,8 @@ import (
 )
 
 // testDoc builds a small two-rung document with easy round-number
-// bounds: a cheap rung bounded at 0.01 globally (0.002 for
-// male_simple) and a tight rung bounded at 0.0001.
+// bounds: a cheap approx rung bounded at 0.01 globally (0.002 for
+// male_simple) and a tight exact rung bounded at 0.0001.
 func testDoc() Doc {
 	return Doc{
 		Schema:    Schema,
@@ -27,7 +27,7 @@ func testDoc() Doc {
 				},
 			},
 			{
-				Name: "tight", Model: "numeric", Resolution: 64, CostRank: 2,
+				Name: "tight", Model: "exact", CostRank: 2,
 				Global: Bounds{Flow: 0.0001, Perf: 0.0001},
 				UseCases: []UseCaseBounds{
 					{UseCase: "male_simple", Bounds: Bounds{Flow: 0.00005, Perf: 0.00002}},
@@ -168,6 +168,9 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 		{"no model", func(d *Doc) { d.Rungs[0].Model = "" }, "no model"},
 		{"unknown model", func(d *Doc) { d.Rungs[0].Model = "spectral" }, "model"},
 		{"dynamic rung", func(d *Doc) { d.Rungs[0].Model = "dynamic" }, "transient"},
+		// No calibration table may send a budgeted request into the
+		// FDM: numeric is the offline reference, never a rung.
+		{"numeric rung", func(d *Doc) { d.Rungs[1].Model = "numeric" }, "want approx or exact"},
 		{"zero cost rank", func(d *Doc) { d.Rungs[0].CostRank = 0 }, "cost rank"},
 		{"duplicate rank", func(d *Doc) { d.Rungs[1].CostRank = 1 }, "repeats cost rank"},
 		{"negative bound", func(d *Doc) { d.Rungs[0].Global.Flow = -0.1 }, "bound"},
@@ -222,9 +225,8 @@ func TestDefaultEmbedded(t *testing.T) {
 	}
 	for i, spec := range ladder {
 		r := rungs[i]
-		if r.Name != spec.Name || r.Model != spec.Model || r.Resolution != spec.Resolution {
-			t.Errorf("rung %d: table %s (%v@%d) != ladder %s (%v@%d)",
-				i, r.Name, r.Model, r.Resolution, spec.Name, spec.Model, spec.Resolution)
+		if r.Name != spec.Name || r.Model != spec.Model {
+			t.Errorf("rung %d: table %s (%v) != ladder %s (%v)", i, r.Name, r.Model, spec.Name, spec.Model)
 		}
 		if r.Global.Worst() <= 0 {
 			t.Errorf("rung %s: global worst-case bound %g is not strictly positive", r.Name, r.Global.Worst())
@@ -277,8 +279,8 @@ func TestEveryEmbeddedRungSelectable(t *testing.T) {
 	}
 }
 
-// TestRungApply: Apply overwrites the model and numeric resolution but
-// leaves every other option alone.
+// TestRungApply: Apply overwrites the model but leaves every other
+// option alone.
 func TestRungApply(t *testing.T) {
 	table := mustTable(t, testDoc())
 	r, err := table.Select("", 1e-4)
@@ -286,10 +288,11 @@ func TestRungApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := sim.DefaultOptions()
+	opt.Model = sim.ModelApprox
 	opt.DisableBendLosses = true
 	r.Apply(&opt)
-	if opt.Model != sim.ModelNumeric || opt.NumericResolution != 64 {
-		t.Fatalf("Apply set %v@%d, want numeric@64", opt.Model, opt.NumericResolution)
+	if opt.Model != sim.ModelExact {
+		t.Fatalf("Apply set %v, want exact", opt.Model)
 	}
 	if !opt.DisableBendLosses {
 		t.Fatal("Apply clobbered DisableBendLosses")

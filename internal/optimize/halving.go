@@ -2,11 +2,9 @@ package optimize
 
 // Successive halving: the adaptive alternative to the exhaustive
 // grid. Every candidate is evaluated at a cheap fidelity rung first —
-// the designer's own approximate resistance model, or a low-resolution
-// numeric cross-section grid — and only the top fraction survives to
-// the next, more expensive rung. Just the survivors of the last cut
-// pay for the full-fidelity evaluation, so the search reaches the
-// grid's best feasible design with a fraction of the full-cost
+// the designer's own approximate resistance model — and only the top
+// fraction survives to the full-fidelity rung, so the search reaches
+// the grid's best feasible design with a fraction of the full-cost
 // evaluations. Rung evaluation fans out over internal/parallel with
 // index-ordered collection, so the result is identical for any worker
 // count.
@@ -33,38 +31,20 @@ type halvingRung struct {
 }
 
 // halvingLadder builds the fidelity ladder that ends at the requested
-// full-fidelity configuration. The cheap rungs re-use the design
-// pipeline's own approximations: the analytic models cost microseconds
-// per candidate, a half-resolution numeric grid roughly a quarter of
-// the full solve.
+// full-fidelity configuration. The cheap rung re-uses the design
+// pipeline's own approximation, which costs microseconds per
+// candidate.
 func halvingLadder(final sim.Options) []halvingRung {
-	switch final.Model {
-	case sim.ModelNumeric:
-		n := final.NumericResolution
-		if n <= 0 {
-			n = 32 // sim's documented default numeric resolution
-		}
-		cheap := final
-		cheap.Model = sim.ModelExact
-		cheap.NumericResolution = 0
-		ladder := []halvingRung{{model: "exact", sim: cheap}}
-		if mid := n / 2; mid >= 8 && mid < n {
-			midOpt := final
-			midOpt.NumericResolution = mid
-			ladder = append(ladder, halvingRung{model: fmt.Sprintf("numeric/%d", mid), sim: midOpt})
-		}
-		return append(ladder, halvingRung{model: fmt.Sprintf("numeric/%d", n), sim: final})
-	case sim.ModelApprox:
+	if final.Model == sim.ModelApprox {
 		// The approximate model is already the cheapest fidelity;
 		// there is no cheaper rung to pre-screen with.
 		return []halvingRung{{model: "approx", sim: final}}
-	default:
-		cheap := final
-		cheap.Model = sim.ModelApprox
-		return []halvingRung{
-			{model: "approx", sim: cheap},
-			{model: "exact", sim: final},
-		}
+	}
+	cheap := final
+	cheap.Model = sim.ModelApprox
+	return []halvingRung{
+		{model: "approx", sim: cheap},
+		{model: "exact", sim: final},
 	}
 }
 

@@ -167,21 +167,16 @@ func TestHalvingEtaValidation(t *testing.T) {
 	}
 }
 
-// TestHalvingNumericLadder: a numeric full fidelity gets a
-// low-resolution middle rung, and the final rung runs at the
-// requested resolution.
-func TestHalvingNumericLadder(t *testing.T) {
-	ladder := halvingLadder(sim.Options{Model: sim.ModelNumeric})
-	if len(ladder) != 3 {
-		t.Fatalf("numeric ladder has %d rungs, want 3: %+v", len(ladder), ladder)
+// TestHalvingLadder: halving screens at approx and ends at the
+// requested full fidelity, so the default search ends at exact; an
+// approx full fidelity has nothing cheaper to screen with.
+func TestHalvingLadder(t *testing.T) {
+	for _, final := range []sim.Model{sim.ModelExact, sim.ModelDynamic} {
+		ladder := halvingLadder(sim.Options{Model: final})
+		if len(ladder) != 2 || ladder[0].sim.Model != sim.ModelApprox || ladder[1].sim.Model != final {
+			t.Fatalf("%v ladder: %+v, want approx then %v", final, ladder, final)
+		}
 	}
-	if ladder[0].model != "exact" || ladder[1].model != "numeric/16" || ladder[2].model != "numeric/32" {
-		t.Fatalf("unexpected numeric ladder: %q %q %q", ladder[0].model, ladder[1].model, ladder[2].model)
-	}
-	if ladder[1].sim.NumericResolution != 16 {
-		t.Fatalf("middle rung resolution %d, want 16", ladder[1].sim.NumericResolution)
-	}
-	// approx full fidelity has nothing cheaper to screen with.
 	if got := len(halvingLadder(sim.Options{Model: sim.ModelApprox})); got != 1 {
 		t.Fatalf("approx ladder has %d rungs, want 1", got)
 	}

@@ -100,10 +100,9 @@ const (
 	// exhaustive baseline.
 	StrategyGrid Strategy = iota
 	// StrategyHalving runs successive halving: every candidate is
-	// evaluated at a cheap rung (the approximate resistance model, or
-	// a low-resolution numeric grid), only the top fraction survives
-	// to the next, more expensive rung, and just the survivors pay
-	// for the full-fidelity evaluation.
+	// evaluated at the cheap rung (the approximate resistance model),
+	// only the top fraction survives to the full-fidelity rung, and
+	// just the survivors pay for the full-fidelity evaluation.
 	StrategyHalving
 )
 
@@ -164,7 +163,8 @@ type Options struct {
 	// ChannelHeights are the candidate uniform channel heights; nil
 	// selects {100, 125, 150, 175, 200} µm. A non-nil empty slice is
 	// an explicit zero-candidate axis and is rejected rather than
-	// silently yielding an infeasible search.
+	// silently yielding an infeasible search, and so is a grid of
+	// more than MaxCandidates.
 	ChannelHeights []units.Length
 	// MinGaps are the candidate module gap budgets; nil selects
 	// {2, 2.5, 3, 4} mm. A non-nil empty slice is rejected like an
@@ -175,7 +175,7 @@ type Options struct {
 	// Sim is the full-fidelity validation configuration: the grid
 	// strategy uses it for every candidate, the halving strategy for
 	// the final rung. The zero value keeps the historical analytic
-	// exact model.
+	// exact model; the numeric model is rejected (see CheckOptions).
 	Sim sim.Options
 	// HalvingEta is the halving keep divisor: each rung keeps
 	// ceil(n/HalvingEta) survivors. Zero selects 2; values below 2
@@ -210,7 +210,7 @@ type Candidate struct {
 type RungStats struct {
 	// Rung is the rung index, cheapest first.
 	Rung int
-	// Model names the rung fidelity ("approx", "exact", "numeric/16").
+	// Model names the rung fidelity ("approx", "exact").
 	Model string
 	// Evaluated is how many candidates were evaluated at this rung;
 	// Kept is how many survived into the next rung (equal to
@@ -264,33 +264,13 @@ func Optimize(spec core.Spec, opt Options) (*Result, error) {
 // neither counted nor logged, so "aborted after N of M candidates"
 // means exactly N finished.
 func Search(ctx context.Context, spec core.Spec, opt Options) (*Result, error) {
+	if err := CheckOptions(opt); err != nil {
+		return nil, err
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	heights := opt.ChannelHeights
-	if heights == nil {
-		heights = []units.Length{
-			units.Micrometres(100), units.Micrometres(125), units.Micrometres(150),
-			units.Micrometres(175), units.Micrometres(200),
-		}
-	} else if len(heights) == 0 {
-		// A non-nil empty axis is an explicit request for zero
-		// candidates — almost certainly a bug at the call site (a
-		// filtered-to-nothing slice). Name the axis instead of
-		// reporting a vacuous ErrInfeasible.
-		return nil, fmt.Errorf("optimize: ChannelHeights is empty (nil selects the default axis; an empty axis has no candidates)")
-	}
-	gaps := opt.MinGaps
-	if gaps == nil {
-		gaps = []units.Length{
-			units.Millimetres(2), units.Millimetres(2.5), units.Millimetres(3), units.Millimetres(4),
-		}
-	} else if len(gaps) == 0 {
-		return nil, fmt.Errorf("optimize: MinGaps is empty (nil selects the default axis; an empty axis has no candidates)")
-	}
-	if opt.Constraints.MaxFlowDeviation < 0 {
-		return nil, fmt.Errorf("optimize: negative flow-deviation budget %g", opt.Constraints.MaxFlowDeviation)
-	}
+	heights, gaps := opt.axes()
 	switch opt.Strategy {
 	case StrategyGrid:
 		return searchGrid(ctx, spec, opt, heights, gaps)
@@ -299,6 +279,66 @@ func Search(ctx context.Context, spec core.Spec, opt Options) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("optimize: unknown strategy %v (valid strategies: %s)", opt.Strategy, StrategyNames)
 	}
+}
+
+// MaxCandidates caps the candidate grid a search accepts: 4 096, a
+// 64 × 64 grid. Halving allocates every candidate before its first
+// evaluation, and a finished job's status lists every evaluation, at
+// 240–270 bytes per candidate; at 4 096 that body is about 1 MB, the
+// size of the server's request bound. The default axes give 20
+// candidates.
+const MaxCandidates = 4096
+
+// axes returns the candidate axes, nil selecting the documented
+// defaults.
+func (o Options) axes() (heights, gaps []units.Length) {
+	heights, gaps = o.ChannelHeights, o.MinGaps
+	if heights == nil {
+		heights = []units.Length{
+			units.Micrometres(100), units.Micrometres(125), units.Micrometres(150),
+			units.Micrometres(175), units.Micrometres(200),
+		}
+	}
+	if gaps == nil {
+		gaps = []units.Length{
+			units.Millimetres(2), units.Millimetres(2.5), units.Millimetres(3), units.Millimetres(4),
+		}
+	}
+	return heights, gaps
+}
+
+// CheckOptions rejects options no search may run, before any work:
+// an explicitly empty candidate axis, a grid over MaxCandidates, a
+// negative flow-deviation budget, and the numeric model. The FDM
+// cross-section solve is an offline oracle: it converges to the exact
+// model, which is cheaper and closer at every resolution, so a search
+// scores with exact instead. Search runs the check first; the job
+// parser and oocopt call it so a bad request fails up front.
+func CheckOptions(opt Options) error {
+	heights, gaps := opt.axes()
+	// A non-nil empty axis is an explicit request for zero candidates
+	// — almost certainly a bug at the call site (a filtered-to-nothing
+	// slice). Name the axis instead of reporting a vacuous
+	// ErrInfeasible.
+	if len(heights) == 0 {
+		return fmt.Errorf("optimize: ChannelHeights is empty (nil selects the default axis; an empty axis has no candidates)")
+	}
+	if len(gaps) == 0 {
+		return fmt.Errorf("optimize: MinGaps is empty (nil selects the default axis; an empty axis has no candidates)")
+	}
+	// Both axes are non-empty, so neither may exceed the cap alone;
+	// checking them first keeps the product from overflowing.
+	if len(heights) > MaxCandidates || len(gaps) > MaxCandidates || len(heights)*len(gaps) > MaxCandidates {
+		return fmt.Errorf("optimize: %d channel heights × %d min gaps exceed the cap of %d candidates",
+			len(heights), len(gaps), MaxCandidates)
+	}
+	if opt.Constraints.MaxFlowDeviation < 0 {
+		return fmt.Errorf("optimize: negative flow-deviation budget %g", opt.Constraints.MaxFlowDeviation)
+	}
+	if opt.Sim.Model == sim.ModelNumeric {
+		return fmt.Errorf("optimize: model numeric cannot drive a search: the FDM solve is an offline oracle (check a chosen design with oocsim -model numeric); search with exact")
+	}
+	return nil
 }
 
 // evaluate generates and validates one candidate design point under

@@ -11,6 +11,7 @@ import (
 	"ooc/internal/core"
 	"ooc/internal/fluid"
 	"ooc/internal/physio"
+	"ooc/internal/sim"
 	"ooc/internal/testutil"
 	"ooc/internal/units"
 )
@@ -270,6 +271,51 @@ func TestEmptyAxisRejected(t *testing.T) {
 		if res != nil {
 			t.Fatalf("%s: empty axis returned a result", tc.name)
 		}
+	}
+}
+
+// TestCheckOptions: the options check rejects what no search may run
+// — the numeric model and a grid over MaxCandidates — before any
+// work, and accepts a grid exactly at the cap.
+func TestCheckOptions(t *testing.T) {
+	axis := func(n int, unit func(float64) units.Length) []units.Length {
+		out := make([]units.Length, n)
+		for i := range out {
+			out[i] = unit(float64(100 + i))
+		}
+		return out
+	}
+	numeric := Options{Constraints: DefaultConstraints()}
+	numeric.Sim.Model = sim.ModelNumeric
+	res, err := Search(context.Background(), baseSpec(), numeric)
+	if err == nil || !strings.Contains(err.Error(), "oocsim -model numeric") || res != nil {
+		t.Fatalf("numeric search: res %v, err %v; want an up-front rejection naming the offline route", res, err)
+	}
+
+	huge := Options{
+		Constraints:    DefaultConstraints(),
+		Strategy:       StrategyHalving,
+		ChannelHeights: axis(20000, units.Micrometres),
+		MinGaps:        axis(20000, units.Millimetres),
+	}
+	if err := CheckOptions(huge); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxCandidates)) {
+		t.Fatalf("20000 × 20000 grid: err %v, want the cap named", err)
+	}
+	// Search runs the check first. One row over the cap keeps a
+	// regression cheap: it would run the search, not allocate 4e8
+	// candidates.
+	over := huge
+	over.ChannelHeights, over.MinGaps = axis(65, units.Micrometres), axis(64, units.Millimetres)
+	if res, err := Search(context.Background(), baseSpec(), over); err == nil || res != nil {
+		t.Fatalf("65 × 64 search: res %v, err %v; want an up-front rejection", res, err)
+	}
+	atCap := huge
+	atCap.ChannelHeights, atCap.MinGaps = axis(64, units.Micrometres), axis(64, units.Millimetres)
+	if err := CheckOptions(atCap); err != nil {
+		t.Fatalf("64 × 64 grid: %v", err)
+	}
+	if err := CheckOptions(Options{}); err != nil {
+		t.Fatalf("default options: %v", err)
 	}
 }
 

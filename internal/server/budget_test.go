@@ -225,7 +225,7 @@ func TestJobsErrorBudget(t *testing.T) {
 		t.Fatal("budgeted job submit has no selection header")
 	}
 
-	resp, raw = submit("?error_budget=0.01", "numeric")
+	resp, raw = submit("?error_budget=0.01", "exact")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("explicit-model submit: status %d: %s", resp.StatusCode, raw)
 	}

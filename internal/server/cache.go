@@ -31,9 +31,8 @@ type cacheEntry struct {
 	resp response
 	err  error
 	// cacheable records whether the completed response may be served
-	// to future requests (successful, full-fidelity responses only —
-	// errors and degraded reports are never cached, mirroring the
-	// never-cache-errors discipline of the cross-section cache).
+	// to future requests (successful responses only — errors are never
+	// cached, mirroring the discipline of the cross-section cache).
 	cacheable bool
 	// completed guards eviction: in-flight entries are never evicted.
 	completed bool

@@ -128,7 +128,7 @@ func TestValidateDynamicBadRequests(t *testing.T) {
 		{"bad profile", "?model=dynamic&profile=square:1s", "profile"},
 		{"bad dose", "?model=dynamic&dose=-1", "invalid dose"},
 		{"duration on exact", "?model=exact&duration=2s", "only valid with model=dynamic"},
-		{"dose on numeric", "?model=numeric&dose=1", "only valid with model=dynamic"},
+		{"dose on exact", "?model=exact&dose=1", "only valid with model=dynamic"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

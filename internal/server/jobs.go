@@ -34,14 +34,14 @@ type jobRequest struct {
 	Objective string `json:"objective,omitempty"`
 	// Strategy: grid (default) or halving.
 	Strategy string `json:"strategy,omitempty"`
-	// Model/NumericResolution pick the full-fidelity validation
-	// configuration (the final rung under halving). Submitting with
-	// ?error_budget= auto-selects Model and NumericResolution from the
-	// calibration table instead; an explicit Model wins over the budget.
-	Model             string `json:"model,omitempty"`
-	NumericResolution int    `json:"numeric_resolution,omitempty"`
+	// Model picks the full-fidelity validation model (the final rung
+	// under halving); numeric is rejected. Submitting with
+	// ?error_budget= auto-selects Model from the calibration table
+	// instead; an explicit Model wins over the budget.
+	Model string `json:"model,omitempty"`
 	// Candidate axes; absent selects the documented defaults. An
-	// explicitly empty array is rejected (it has no candidates).
+	// explicitly empty array, or more than optimize.MaxCandidates
+	// candidates, is rejected.
 	ChannelHeightsUm []float64 `json:"channel_heights_um,omitempty"`
 	MinGapsMm        []float64 `json:"min_gaps_mm,omitempty"`
 	// Constraints. A nil MaxFlowDeviation selects the 5 % default;
@@ -199,19 +199,10 @@ func (s *Server) parseJobRequest(w http.ResponseWriter, r *http.Request) (jobs.R
 		// documented transient defaults are the right configuration.
 		opt.Sim.Dynamic = sim.DefaultDynamicOptions()
 	}
-	// An out-of-range resolution fails the submission synchronously:
-	// the job would fail anyway, and an unbounded grid would be
-	// allocated before any deadline check.
-	if _, err := sim.ResolveNumericResolution(in.NumericResolution); err != nil {
-		return jobs.Request{}, err
-	}
-	opt.Sim.NumericResolution = in.NumericResolution
 
 	// ?error_budget= auto-selects the full-fidelity rung from the
 	// calibration table, exactly like the synchronous endpoints; an
-	// explicit "model" in the body wins over the budget. Selection runs
-	// after the resolution assignment above so the rung's resolution is
-	// authoritative.
+	// explicit "model" in the body wins over the budget.
 	errBudget, err := s.parseBudgetQuery(r.URL.Query().Get("error_budget"), in.Model != "")
 	if err != nil {
 		return jobs.Request{}, err
@@ -234,22 +225,15 @@ func (s *Server) parseJobRequest(w http.ResponseWriter, r *http.Request) (jobs.R
 		opt.Constraints.MaxPumpPressure = units.Pascals(in.MaxPumpPressurePa)
 	}
 	// Convert the axes preserving nil-ness: absent means "the default
-	// axis". An explicit empty array is the zero-candidate request
-	// optimize rejects; catching it here fails the submission
-	// synchronously instead of admitting a job doomed to fail.
+	// axis", and an explicit empty array is the zero-candidate request
+	// the options check below rejects.
 	if in.ChannelHeightsUm != nil {
-		if len(in.ChannelHeightsUm) == 0 {
-			return jobs.Request{}, fmt.Errorf("channel_heights_um (ChannelHeights) is empty: an empty axis has no candidates; omit it to use the default axis")
-		}
 		opt.ChannelHeights = make([]units.Length, len(in.ChannelHeightsUm))
 		for i, um := range in.ChannelHeightsUm {
 			opt.ChannelHeights[i] = units.Micrometres(um)
 		}
 	}
 	if in.MinGapsMm != nil {
-		if len(in.MinGapsMm) == 0 {
-			return jobs.Request{}, fmt.Errorf("min_gaps_mm (MinGaps) is empty: an empty axis has no candidates; omit it to use the default axis")
-		}
 		opt.MinGaps = make([]units.Length, len(in.MinGapsMm))
 		for i, mm := range in.MinGapsMm {
 			opt.MinGaps[i] = units.Millimetres(mm)
@@ -257,6 +241,13 @@ func (s *Server) parseJobRequest(w http.ResponseWriter, r *http.Request) (jobs.R
 	}
 	opt.HalvingEta = in.Eta
 	opt.Workers = in.Workers
+	// Options no search may run fail the submission synchronously
+	// instead of admitting a job doomed to fail: the numeric model, an
+	// empty axis, and a grid so large that halving would allocate it
+	// all before the first deadline check.
+	if err := optimize.CheckOptions(opt); err != nil {
+		return jobs.Request{}, err
+	}
 
 	var timeout time.Duration
 	if in.Timeout != "" {

@@ -353,8 +353,8 @@ func TestJobsBadRequests(t *testing.T) {
 		{"bad objective", jobBody(t, "male_simple", map[string]any{"objective": "beauty"}), optimize.ObjectiveNames},
 		{"bad timeout", jobBody(t, "male_simple", map[string]any{"timeout": "yesterday"}), "timeout"},
 		{"empty axis", jobBody(t, "male_simple", map[string]any{"channel_heights_um": []float64{}}), "ChannelHeights"},
-		{"huge resolution", jobBody(t, "male_simple", map[string]any{"model": "numeric", "numeric_resolution": 1000000}), "out of range"},
-		{"negative resolution", jobBody(t, "male_simple", map[string]any{"model": "numeric", "numeric_resolution": -1}), "out of range"},
+		{"numeric model", jobBody(t, "male_simple", map[string]any{"model": "numeric"}), "oocsim -model numeric"},
+		{"negative budget", jobBody(t, "male_simple", map[string]any{"max_flow_deviation": -0.1}), "negative flow-deviation budget"},
 	} {
 		resp, raw := post(t, ts.Client(), ts.URL+"/v1/jobs", tc.body, nil)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -393,6 +393,52 @@ func TestJobsBadRequests(t *testing.T) {
 	if mresp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("PUT on a job: status %d, want 405", mresp.StatusCode)
 	}
+}
+
+// TestJobsCandidateCap: a small body with huge candidate axes — 120 KB
+// asking for 4e8 candidates, which halving would allocate up front —
+// is a 400 naming the cap and admits no job; a grid exactly at the
+// cap is admitted. The search is stubbed so that a regression admits
+// a job the test can see instead of allocating 6.4 GB.
+func TestJobsCandidateCap(t *testing.T) {
+	s := New(Config{})
+	stubJobs(s, jobs.Config{Search: func(context.Context, core.Spec, optimize.Options) (*optimize.Result, error) {
+		return &optimize.Result{}, nil
+	}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	axis := func(n int, first, step float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = first + step*float64(i)
+		}
+		return out
+	}
+
+	resp, raw := post(t, ts.Client(), ts.URL+"/v1/jobs", jobBody(t, "male_simple", map[string]any{
+		"strategy":           "halving",
+		"channel_heights_um": axis(20000, 100, 0.005),
+		"min_gaps_mm":        axis(20000, 2, 0.0001),
+	}), nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), fmt.Sprint(optimize.MaxCandidates)) {
+		t.Fatalf("20000 × 20000 axes: status %d, want a 400 naming the cap: %s", resp.StatusCode, raw)
+	}
+	if list := s.jobs.List(); len(list) != 0 {
+		t.Fatalf("rejected submission admitted %d jobs", len(list))
+	}
+
+	resp, raw = post(t, ts.Client(), ts.URL+"/v1/jobs", jobBody(t, "male_simple", map[string]any{
+		"strategy":           "halving",
+		"channel_heights_um": axis(64, 100, 100.0/63),
+		"min_gaps_mm":        axis(64, 2, 2.0/63),
+	}), nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("64 × 64 axes: status %d: %s", resp.StatusCode, raw)
+	}
+	if list := s.jobs.List(); len(list) != 1 {
+		t.Fatalf("64 × 64 submission left %d jobs, want 1", len(list))
+	}
+	s.jobs.Shutdown()
 }
 
 // TestTimeoutHeaderEchoesEffectiveBudget: the X-OOC-Timeout response

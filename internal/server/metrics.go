@@ -12,8 +12,10 @@ import (
 // snapshot plus the live admission gauges. The format is the
 // conventional one-metric-per-line exposition (Prometheus-style names
 // and labels) so standard scrapers and plain grep both work. Ordering
-// is deterministic: gauges first, then counters, histograms, solver
-// and cache aggregates, each sorted by the Summary's own ordering.
+// is deterministic: gauges first, then counters and histograms, each
+// sorted by the Summary's own ordering. The Summary's solver,
+// cross-section cache and degradation aggregates are not rendered: no
+// served request runs the FDM, the only path that records them.
 func renderMetrics(s obs.Summary, inflight, queued, jobsRunning, jobsQueued int64, uptime time.Duration) string {
 	var b strings.Builder
 	b.WriteString("# oocd metrics\n")
@@ -39,8 +41,6 @@ func renderMetrics(s obs.Summary, inflight, queued, jobsRunning, jobsQueued int6
 			fmt.Fprintf(&b, "ooc_cache_snapshot_imports_total %d\n", c.Value)
 		case c.Name == "server.cache.import.responses":
 			fmt.Fprintf(&b, "ooc_cache_imported_entries_total{cache=\"response\"} %d\n", c.Value)
-		case c.Name == "server.cache.import.xsections":
-			fmt.Fprintf(&b, "ooc_cache_imported_entries_total{cache=\"xsection\"} %d\n", c.Value)
 		case c.Name == "jobs.submitted":
 			fmt.Fprintf(&b, "ooc_jobs_submitted_total %d\n", c.Value)
 		case c.Name == "jobs.rejected":
@@ -49,7 +49,7 @@ func renderMetrics(s obs.Summary, inflight, queued, jobsRunning, jobsQueued int6
 			fmt.Fprintf(&b, "ooc_jobs_completed_total{state=%q} %d\n", parts[2], c.Value)
 		case len(parts) == 3 && parts[0] == "modelsel" && parts[1] == "selected":
 			// modelsel.selected.<rung> — rung names ("approx",
-			// "numeric@32") contain no dot, so the split is exact.
+			// "exact") contain no dot, so the split is exact.
 			fmt.Fprintf(&b, "ooc_model_selected_total{rung=%q} %d\n", parts[2], c.Value)
 		case c.Name == "modelsel.explicit_override":
 			fmt.Fprintf(&b, "ooc_model_selection_overridden_total %d\n", c.Value)
@@ -86,20 +86,6 @@ func renderMetrics(s obs.Summary, inflight, queued, jobsRunning, jobsQueued int6
 		fmt.Fprintf(&b, "%s_bucket{endpoint=%q,le=\"+Inf\"} %d\n", family, endpoint, t.Count)
 		fmt.Fprintf(&b, "%s_sum{endpoint=%q} %d\n", family, endpoint, t.Total.Microseconds())
 		fmt.Fprintf(&b, "%s_count{endpoint=%q} %d\n", family, endpoint, t.Count)
-	}
-
-	for _, ss := range s.Solvers {
-		fmt.Fprintf(&b, "ooc_solver_solves_total{solver=%q} %d\n", ss.Solver, ss.Solves)
-		fmt.Fprintf(&b, "ooc_solver_converged_total{solver=%q} %d\n", ss.Solver, ss.Converged)
-		fmt.Fprintf(&b, "ooc_solver_iterations_total{solver=%q} %d\n", ss.Solver, ss.TotalIterations)
-	}
-
-	fmt.Fprintf(&b, "ooc_xsection_cache_hits_total %d\n", s.CacheHits)
-	fmt.Fprintf(&b, "ooc_xsection_cache_misses_total %d\n", s.CacheMisses)
-	fmt.Fprintf(&b, "ooc_xsection_cache_join_aborts_total %d\n", s.CacheJoinAborts)
-
-	for _, d := range s.Degradations {
-		fmt.Fprintf(&b, "ooc_degradations_total{reason=%q} %d\n", d.Reason, d.Count)
 	}
 	return b.String()
 }

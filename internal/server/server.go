@@ -11,11 +11,17 @@
 //     solve once, with hit/miss counters in internal/obs;
 //   - every request runs under a deadline budget (server default,
 //     client-overridable up to a cap via ?timeout=), propagated
-//     through the PR 3 context plumbing down to the iterative solvers;
-//     an exhausted budget is a 504;
+//     through the context plumbing down to the solvers; an exhausted
+//     budget is a 504;
 //   - a process-lifetime obs.Collector feeds the /metrics text
 //     exposition (request counts, latency buckets, cache traffic,
-//     solver iterations, degradations) and the drain-time flush.
+//     model selection, job and pipeline counters) and the drain-time
+//     flush.
+//
+// The FDM cross-section solve (sim.ModelNumeric) is an offline oracle,
+// not a served model: it converges to the exact model, which is both
+// cheaper and closer at every resolution. ?model=numeric and a numeric
+// job model are 400s; oocsim -model numeric and oocbench run it.
 //
 // Endpoints:
 //
@@ -26,7 +32,7 @@
 //	POST /v1/validate?model=m
 //	                            spec in → validation report (JSON, or
 //	                            text via Accept: text/plain);
-//	                            m ∈ {exact, approx, numeric, dynamic};
+//	                            m ∈ {exact, approx, dynamic};
 //	                            ?error_budget=f (a fraction in (0, 1])
 //	                            instead of ?model= auto-selects the
 //	                            cheapest calibrated rung whose
@@ -48,8 +54,9 @@
 //	GET    /v1/jobs             list retained jobs
 //	GET    /v1/jobs/{id}        poll progress / final result
 //	DELETE /v1/jobs/{id}        cancel cooperatively
-//	GET  /v1/cache              export both caches as a versioned
-//	                            snapshot (peer fill / warm restarts)
+//	GET  /v1/cache              export the response cache as a
+//	                            versioned snapshot (peer fill / warm
+//	                            restarts)
 //	PUT  /v1/cache              import a snapshot; 409 on a version or
 //	                            schema mismatch, 400 on corruption
 //	GET  /healthz               liveness
@@ -303,8 +310,7 @@ func (s *Server) readSpec(w http.ResponseWriter, r *http.Request) (core.Spec, []
 // honored only up to MaxTimeout, and silently clamping it used to
 // leave clients planning around a budget the server never granted.
 // The returned context also carries the server's telemetry collector,
-// so solver iterations and cross-section cache traffic land in
-// /metrics.
+// so pipeline counters such as dyn.steps land in /metrics.
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, time.Duration, error) {
 	budget := s.cfg.DefaultTimeout
 	if raw := r.URL.Query().Get("timeout"); raw != "" {
@@ -448,13 +454,12 @@ type validateResult struct {
 		ActualPerfusion    float64 `json:"actual_perfusion"`
 		PerfusionDeviation float64 `json:"perfusion_deviation"`
 	} `json:"modules"`
-	AvgFlowDeviation float64  `json:"avg_flow_deviation"`
-	MaxFlowDeviation float64  `json:"max_flow_deviation"`
-	AvgPerfDeviation float64  `json:"avg_perf_deviation"`
-	MaxPerfDeviation float64  `json:"max_perf_deviation"`
-	PumpPressurePa   float64  `json:"pump_pressure_pa"`
-	KCLResidualM3S   float64  `json:"kcl_residual_m3s"`
-	Degradations     []string `json:"degradations,omitempty"`
+	AvgFlowDeviation float64 `json:"avg_flow_deviation"`
+	MaxFlowDeviation float64 `json:"max_flow_deviation"`
+	AvgPerfDeviation float64 `json:"avg_perf_deviation"`
+	MaxPerfDeviation float64 `json:"max_perf_deviation"`
+	PumpPressurePa   float64 `json:"pump_pressure_pa"`
+	KCLResidualM3S   float64 `json:"kcl_residual_m3s"`
 	// ErrorBudget/ModelSelected record an ?error_budget= auto-selection
 	// (absent on fixed-model requests).
 	ErrorBudget   float64 `json:"error_budget,omitempty"`
@@ -501,7 +506,6 @@ func makeValidateResult(rep *sim.Report, model sim.Model) validateResult {
 		MaxPerfDeviation: rep.MaxPerfDeviation,
 		PumpPressurePa:   rep.PumpPressure.Pascals(),
 		KCLResidualM3S:   rep.KCLResidual.CubicMetresPerSecond(),
-		Degradations:     rep.Degradations,
 	}
 	for _, m := range rep.Modules {
 		out.Modules = append(out.Modules, struct {
@@ -536,6 +540,9 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	}
 	modelParam := r.URL.Query().Get("model")
 	model, err := sim.ParseModel(modelParam)
+	if err == nil && model == sim.ModelNumeric {
+		err = errors.New("model numeric is not served: the FDM cross-section solve is an offline oracle (run oocsim -model numeric); exact is the served reference")
+	}
 	if err != nil {
 		s.reply(w, "validate", started, jsonError(http.StatusBadRequest, "%v", err), false)
 		return
@@ -648,7 +655,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return response{}, false, err
 			}
-			return out, len(dr.Report.Degradations) == 0, nil
+			return out, true, nil
 		}
 		rep, err := s.validate(ctx, d, opt)
 		if err != nil {
@@ -661,10 +668,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return response{}, false, err
 		}
-		// A report that degraded under the deadline is real but not
-		// full-fidelity; serve it, but don't let it shadow future
-		// requests that have budget for the full solve.
-		return out, len(rep.Degradations) == 0, nil
+		return out, true, nil
 	})
 	if err != nil {
 		resp = errorResponse(err)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ooc/internal/cachesnap"
-	"ooc/internal/sim"
 )
 
 // maxSnapshotBytes bounds an imported snapshot body. Snapshots hold
@@ -19,22 +18,17 @@ const maxSnapshotBytes = 64 << 20
 
 // RestoreStats reports what a snapshot restore actually installed —
 // entries already live locally or failing validation are skipped, so
-// the counts can be smaller than the snapshot's.
+// the count can be smaller than the snapshot's.
 type RestoreStats struct {
-	Responses     int `json:"imported_responses"`
-	CrossSections int `json:"imported_cross_sections"`
+	Responses int `json:"imported_responses"`
 }
 
-// Snapshot captures both caches — the completed, cacheable response
-// entries and the completed cross-section solves — as a snapshot
-// value. In-flight singleflight slots, error results, and degraded
-// reports are never included: the former hold no value yet and the
-// latter two are never cached in the first place.
+// Snapshot captures the completed, cacheable response-cache entries as
+// a snapshot value. In-flight singleflight slots and error results are
+// never included: the former hold no value yet and the latter are
+// never cached in the first place.
 func (s *Server) Snapshot() *cachesnap.Snapshot {
-	return &cachesnap.Snapshot{
-		Responses:     s.cache.export(),
-		CrossSections: sim.ExportCrossSectionCache(),
-	}
+	return &cachesnap.Snapshot{Responses: s.cache.export()}
 }
 
 // WriteSnapshot serializes the current cache state to w in the
@@ -47,23 +41,19 @@ func (s *Server) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
-// RestoreSnapshot installs a snapshot into both caches, skipping
-// entries whose keys are already live (local traffic wins) or that
-// fail re-validation, and records the import in the collector.
+// RestoreSnapshot installs a snapshot into the response cache,
+// skipping entries whose keys are already live (local traffic wins) or
+// that fail re-validation, and records the import in the collector.
 func (s *Server) RestoreSnapshot(snap *cachesnap.Snapshot) RestoreStats {
-	st := RestoreStats{
-		Responses:     s.cache.importEntries(snap.Responses),
-		CrossSections: sim.ImportCrossSectionCache(snap.CrossSections),
-	}
+	st := RestoreStats{Responses: s.cache.importEntries(snap.Responses)}
 	s.col.Add("server.cache.snapshot.imports", 1)
 	s.col.Add("server.cache.import.responses", int64(st.Responses))
-	s.col.Add("server.cache.import.xsections", int64(st.CrossSections))
 	return st
 }
 
 // ReadSnapshot decodes and installs a snapshot from r. Rejections are
 // cachesnap's sentinel errors (ErrMagic/ErrVersion/ErrSchema/
-// ErrCorrupt) wrapped with context; the caches are untouched when the
+// ErrCorrupt) wrapped with context; the cache is untouched when the
 // snapshot is rejected.
 func (s *Server) ReadSnapshot(r io.Reader) (RestoreStats, error) {
 	snap, err := cachesnap.Read(r)
@@ -76,7 +66,7 @@ func (s *Server) ReadSnapshot(r io.Reader) (RestoreStats, error) {
 // handleCache serves the peer-fill protocol:
 //
 //	GET /v1/cache   export the live cache state as a snapshot body
-//	PUT /v1/cache   import a snapshot body into the live caches
+//	PUT /v1/cache   import a snapshot body into the live cache
 //
 // A fresh replica warms itself from a running peer with a plain
 // GET | PUT pipe; stale or corrupt bodies are refused the same way a

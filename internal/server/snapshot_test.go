@@ -12,7 +12,6 @@ import (
 
 	"ooc/internal/cachesnap"
 	"ooc/internal/core"
-	"ooc/internal/sim"
 )
 
 // snapshotServer builds a Server whose generate/validate are counting
@@ -45,26 +44,27 @@ func putSnapshot(t *testing.T, url string, body []byte) *http.Response {
 }
 
 // TestCachePeerFill: GET /v1/cache on a warmed server, PUT the body
-// into a cold one, and the cold server answers the same request as a
-// hit without ever invoking the pipeline — the peer-fill protocol end
+// into a cold one, and the cold server answers the same requests as
+// hits without ever invoking the pipeline — the peer-fill protocol end
 // to end, over real HTTP.
 func TestCachePeerFill(t *testing.T) {
-	sim.ResetCrossSectionCache()
-	t.Cleanup(sim.ResetCrossSectionCache)
 	var warmCalls int
 	_, warm := snapshotServer(t, &warmCalls)
 	spec := specBody(t, "male_simple")
+	paths := []string{"/v1/design", "/v1/validate?model=exact"}
 
-	resp, err := http.Post(warm.URL+"/v1/design", "application/json", bytes.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range paths {
+		resp, err := http.Post(warm.URL+path, "application/json", bytes.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("warm %s request: %d", path, resp.StatusCode)
+		}
 	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm design request: %d", resp.StatusCode)
-	}
-	if warmCalls != 1 {
-		t.Fatalf("warm server pipeline calls = %d, want 1", warmCalls)
+	if warmCalls != len(paths) {
+		t.Fatalf("warm server pipeline calls = %d, want %d", warmCalls, len(paths))
 	}
 
 	exp, err := http.Get(warm.URL + "/v1/cache")
@@ -93,20 +93,22 @@ func TestCachePeerFill(t *testing.T) {
 	if err := json.NewDecoder(put.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Responses != 1 {
-		t.Fatalf("imported %d responses, want 1", st.Responses)
+	if st.Responses != len(paths) {
+		t.Fatalf("imported %d responses, want %d", st.Responses, len(paths))
 	}
 
-	resp2, err := http.Post(cold.URL+"/v1/design", "application/json", bytes.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp2.Body.Close() }()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("cold design request: %d", resp2.StatusCode)
-	}
-	if got := resp2.Header.Get("X-Cache"); got != "hit" {
-		t.Fatalf("cold server X-Cache = %q, want hit", got)
+	for _, path := range paths {
+		resp2, err := http.Post(cold.URL+path, "application/json", bytes.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp2.Body.Close()
+		if resp2.StatusCode != http.StatusOK {
+			t.Fatalf("cold %s request: %d", path, resp2.StatusCode)
+		}
+		if got := resp2.Header.Get("X-Cache"); got != "hit" {
+			t.Fatalf("cold server %s X-Cache = %q, want hit", path, got)
+		}
 	}
 	if coldCalls != 0 {
 		t.Fatalf("cold server ran the pipeline %d times despite the import", coldCalls)
@@ -115,8 +117,8 @@ func TestCachePeerFill(t *testing.T) {
 	if got := snap.Counter("server.cache.snapshot.imports"); got != 1 {
 		t.Fatalf("snapshot.imports = %d, want 1", got)
 	}
-	if got := snap.Counter("server.cache.hits"); got != 1 {
-		t.Fatalf("response cache hits = %d, want 1", got)
+	if got := snap.Counter("server.cache.hits"); got != int64(len(paths)) {
+		t.Fatalf("response cache hits = %d, want %d", got, len(paths))
 	}
 }
 
@@ -170,17 +172,14 @@ func TestCachePutRejections(t *testing.T) {
 }
 
 // TestWriteSnapshotRoundTrip: Server.WriteSnapshot → cachesnap.Read →
-// RestoreSnapshot restores both caches (the file-based warm-boot path
-// that cmd/oocd drives, minus the filesystem).
+// RestoreSnapshot restores the response cache (the file-based
+// warm-boot path that cmd/oocd drives, minus the filesystem).
 func TestWriteSnapshotRoundTrip(t *testing.T) {
-	sim.ResetCrossSectionCache()
-	t.Cleanup(sim.ResetCrossSectionCache)
 	var calls int
 	s, ts := snapshotServer(t, &calls)
 
-	// A numeric validate populates both the response cache and the
-	// cross-section solve cache.
-	resp, err := http.Post(ts.URL+"/v1/validate?model=numeric", "application/json", bytes.NewReader(specBody(t, "male_simple")))
+	// An exact validate populates the response cache.
+	resp, err := http.Post(ts.URL+"/v1/validate?model=exact", "application/json", bytes.NewReader(specBody(t, "male_simple")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,22 +196,18 @@ func TestWriteSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Responses) != 1 || len(snap.CrossSections) == 0 {
-		t.Fatalf("snapshot holds %d responses / %d cross-sections", len(snap.Responses), len(snap.CrossSections))
+	if len(snap.Responses) != 1 {
+		t.Fatalf("snapshot holds %d responses, want 1", len(snap.Responses))
 	}
 
-	sim.ResetCrossSectionCache()
 	var coldCalls int
 	cold, _ := snapshotServer(t, &coldCalls)
 	st := cold.RestoreSnapshot(snap)
-	if st.Responses != 1 || st.CrossSections != len(snap.CrossSections) {
+	if st.Responses != 1 {
 		t.Fatalf("restore stats %+v", st)
 	}
 	if cold.cache.LenCompleted() != 1 {
 		t.Fatalf("restored response cache holds %d entries", cold.cache.LenCompleted())
-	}
-	if got := sim.CrossSectionCacheSizeCompleted(); got != len(snap.CrossSections) {
-		t.Fatalf("restored cross-section cache holds %d entries", got)
 	}
 }
 
@@ -224,15 +219,12 @@ func TestMetricsExposesCacheCounters(t *testing.T) {
 	s.col.Add("server.cache.snapshot.exports", 1)
 	s.col.Add("server.cache.snapshot.imports", 1)
 	s.col.Add("server.cache.import.responses", 3)
-	s.col.Add("server.cache.import.xsections", 4)
 	text := s.MetricsText()
 	for _, want := range []string{
 		"ooc_response_cache_join_aborts_total 2",
 		"ooc_cache_snapshot_exports_total 1",
 		"ooc_cache_snapshot_imports_total 1",
 		`ooc_cache_imported_entries_total{cache="response"} 3`,
-		`ooc_cache_imported_entries_total{cache="xsection"} 4`,
-		"ooc_xsection_cache_join_aborts_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)

@@ -68,9 +68,7 @@ func ResetCrossSectionCache() {
 }
 
 // CrossSectionCacheSize reports the number of cache slots, completed
-// *and* in flight. Snapshot export must not count singleflight slots
-// that hold no value yet — use CrossSectionCacheSizeCompleted for the
-// serializable population.
+// *and* in flight.
 func CrossSectionCacheSize() int {
 	crossSectionCache.Lock()
 	defer crossSectionCache.Unlock()
@@ -110,7 +108,7 @@ func normalizedIntegral(ctx context.Context, key crossSectionKey) (float64, erro
 			// Only now is this a hit: the waiter actually received the
 			// memoized result. Recording the hit before the select used
 			// to count ctx-expired waiters as hits, inflating the hit
-			// rate -stats and /metrics report and making the counter
+			// rate that -stats reports and making the counter
 			// schedule-dependent under deadline pressure.
 			obs.FromContext(ctx).RecordCacheHit()
 			return e.val, e.err

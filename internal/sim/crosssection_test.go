@@ -2,10 +2,12 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ooc/internal/fluid"
 	"ooc/internal/obs"
@@ -199,16 +201,16 @@ func TestCrossSectionBackendBySize(t *testing.T) {
 // first); zero selects the default.
 func TestNumericResolutionBound(t *testing.T) {
 	for n, want := range map[int]int{0: defaultNumericResolution, 8: 8, MaxNumericResolution: MaxNumericResolution} {
-		if got, err := ResolveNumericResolution(n); err != nil || got != want {
-			t.Errorf("ResolveNumericResolution(%d) = %d, %v; want %d", n, got, err, want)
+		if got, err := resolveNumericResolution(n); err != nil || got != want {
+			t.Errorf("resolveNumericResolution(%d) = %d, %v; want %d", n, got, err, want)
 		}
 	}
 	d := mustDesign(t, maleSimpleSpec())
 	cs := fluid.CrossSection{Width: units.Micrometres(300), Height: units.Micrometres(100)}
 	ResetCrossSectionCache()
 	for _, n := range []int{-1, 7, MaxNumericResolution + 1, 1000000} {
-		if _, err := ResolveNumericResolution(n); err == nil {
-			t.Errorf("ResolveNumericResolution(%d) accepted", n)
+		if _, err := resolveNumericResolution(n); err == nil {
+			t.Errorf("resolveNumericResolution(%d) accepted", n)
 		}
 		if _, err := Validate(d, Options{Model: ModelNumeric, NumericResolution: n}); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("Validate at resolution %d: err = %v, want an out-of-range error", n, err)
@@ -279,5 +281,100 @@ func TestValidateWorkersBitIdentical(t *testing.T) {
 				t.Fatalf("model %d: module %d flow diverged", int(model), i)
 			}
 		}
+	}
+}
+
+// TestJoinAbortNotCountedAsHit: a waiter that joins an in-flight solve
+// and runs out of budget is recorded as a join abort, not a hit — and
+// the owner still completes, so a later lookup is a genuine hit. Pins
+// the hit/miss/abort determinism: 1 miss (owner), 1 abort (expired
+// waiter), 1 hit (the retry), never 2 hits.
+func TestJoinAbortNotCountedAsHit(t *testing.T) {
+	ResetCrossSectionCache()
+	key := crossSectionKey{aspect: 1.7, n: 16}
+
+	// Install the in-flight slot the waiter will join.
+	e := &csEntry{done: make(chan struct{})}
+	crossSectionCache.Lock()
+	crossSectionCache.m[key] = e
+	crossSectionCache.Unlock()
+
+	col := obs.NewCollector()
+	expired, cancel := context.WithTimeout(obs.WithCollector(context.Background(), col), time.Nanosecond)
+	defer cancel()
+	<-expired.Done()
+	if _, err := normalizedIntegral(expired, key); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired waiter: err = %v, want a deadline abort", err)
+	}
+	snap := col.Snapshot()
+	if snap.CacheHits != 0 || snap.CacheMisses != 0 || snap.CacheJoinAborts != 1 {
+		t.Fatalf("expired waiter counted as hits=%d misses=%d aborts=%d, want 0/0/1",
+			snap.CacheHits, snap.CacheMisses, snap.CacheJoinAborts)
+	}
+
+	// The owner completes; the same waiter context still aborts nothing
+	// — a completed entry is a hit even under an expired context.
+	e.val = 0.02
+	close(e.done)
+	//ooclint:ignore floatcmp the cached bits must replay exactly
+	if v, err := normalizedIntegral(expired, key); err != nil || v != 0.02 {
+		t.Fatalf("completed entry under expired ctx: v=%v err=%v", v, err)
+	}
+	snap = col.Snapshot()
+	if snap.CacheHits != 1 || snap.CacheJoinAborts != 1 {
+		t.Fatalf("completed-entry lookup: hits=%d aborts=%d, want 1/1", snap.CacheHits, snap.CacheJoinAborts)
+	}
+	ResetCrossSectionCache()
+}
+
+// TestResetDoesNotResurrectInFlightSuccess: a solve that completes
+// *after* a concurrent ResetCrossSectionCache must not reinstall its
+// slot into the fresh generation. The error path has the `cur == e`
+// guard; this pins the success path (which must not re-insert at all),
+// under -race.
+func TestResetDoesNotResurrectInFlightSuccess(t *testing.T) {
+	ResetCrossSectionCache()
+	cs := fluid.CrossSection{Width: units.Micrometres(600), Height: units.Micrometres(150)}
+	l := units.Millimetres(2)
+	mu := physio.MediumViscosityTypical
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	var solveErr error
+	go func() {
+		defer wg.Done()
+		_, solveErr = NumericResistance(cs, l, mu, 64)
+	}()
+
+	// Wait until the owner's singleflight slot is visible, then reset
+	// while the solve is still running.
+	deadline := time.Now().Add(5 * time.Second)
+	for CrossSectionCacheSize() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("solver never inserted its in-flight slot")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	ResetCrossSectionCache()
+	wg.Wait()
+	if solveErr != nil {
+		t.Fatal(solveErr)
+	}
+	if got := CrossSectionCacheSize(); got != 0 {
+		t.Fatalf("completed solve resurrected %d slots into the fresh generation", got)
+	}
+
+	// And the fresh generation recomputes from scratch: a miss, then
+	// the entry exists.
+	col := obs.NewCollector()
+	ctx := obs.WithCollector(context.Background(), col)
+	if _, err := NumericResistanceContext(ctx, cs, l, mu, 64); err != nil {
+		t.Fatal(err)
+	}
+	if snap := col.Snapshot(); snap.CacheMisses != 1 || snap.CacheHits != 0 {
+		t.Fatalf("post-reset lookup: %d hits / %d misses, want 0 / 1", snap.CacheHits, snap.CacheMisses)
+	}
+	if got := CrossSectionCacheSize(); got != 1 {
+		t.Fatalf("post-reset recompute left cache size %d, want 1", got)
 	}
 }

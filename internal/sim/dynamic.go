@@ -209,7 +209,6 @@ func ValidateDynamicContext(ctx context.Context, d *core.Design, opt Options) (*
 	if err != nil {
 		return nil, err
 	}
-	rep.Degradations = m.b.degraded
 
 	dr := &DynamicReport{
 		Report:           rep,

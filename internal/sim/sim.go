@@ -67,12 +67,11 @@ const minNumericResolution = 8
 // resolution could allocate gigabytes before the first context check.
 const MaxNumericResolution = 512
 
-// ResolveNumericResolution maps an Options.NumericResolution value to
+// resolveNumericResolution maps an Options.NumericResolution value to
 // the grid resolution ModelNumeric solves at: zero selects the default
 // (32), anything else must lie in [8, MaxNumericResolution]. Validation
-// resolves through it before any solve; edges that take the value from
-// untrusted input call it to reject a bad value up front.
-func ResolveNumericResolution(n int) (int, error) {
+// resolves through it before any solve.
+func resolveNumericResolution(n int) (int, error) {
 	if n == 0 {
 		return defaultNumericResolution, nil
 	}
@@ -121,9 +120,9 @@ type Options struct {
 	// never a silent default.
 	Dynamic DynamicOptions
 	// ErrorBudget records the accuracy budget (a deviation fraction in
-	// (0, 1]) that auto-selected this Model/NumericResolution pair via
-	// internal/modelsel, for provenance in reports and telemetry. Zero
-	// means no budget was involved — the model was chosen explicitly.
+	// (0, 1]) that auto-selected this Model via internal/modelsel, for
+	// provenance in reports and telemetry. Zero means no budget was
+	// involved — the model was chosen explicitly.
 	// Validation range-checks it but never re-selects: selection
 	// happens at the edges (server handlers, CLI flag resolution),
 	// where "the client pinned a model explicitly" is knowable.
@@ -302,7 +301,7 @@ func buildNetwork(ctx context.Context, d *core.Design, opt Options) (*builtNetwo
 	if opt.Model != ModelApprox && opt.Model != ModelExact && opt.Model != ModelNumeric && opt.Model != ModelDynamic {
 		return nil, fmt.Errorf("sim: unknown model %d", int(opt.Model))
 	}
-	numericN, err := ResolveNumericResolution(opt.NumericResolution)
+	numericN, err := resolveNumericResolution(opt.NumericResolution)
 	if err != nil {
 		return nil, err
 	}

@@ -191,7 +191,9 @@ const (
 	ModelApprox = sim.ModelApprox
 	// ModelNumeric validates with the FDM duct-flow solve (the
 	// CFD-lite leg); under a deadline its channels degrade gracefully
-	// to ModelExact, recorded in ValidationReport.Degradations.
+	// to ModelExact, recorded in ValidationReport.Degradations. It is
+	// an offline oracle: it converges to ModelExact, so the oocd
+	// daemon does not serve it and Optimize rejects it.
 	ModelNumeric = sim.ModelNumeric
 )
 
@@ -472,7 +474,9 @@ var ErrInfeasible = optimize.ErrInfeasible
 func DefaultOptimizeConstraints() OptimizeConstraints { return optimize.DefaultConstraints() }
 
 // Optimize searches the designer's free geometric parameters for the
-// best feasible chip under the given objective and constraints.
+// best feasible chip under the given objective and constraints. It
+// rejects ModelNumeric and grids of more than 4 096 candidates up
+// front.
 func Optimize(spec Spec, opt OptimizeOptions) (*OptimizeResult, error) {
 	return optimize.Optimize(spec, opt)
 }
