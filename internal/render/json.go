@@ -1,7 +1,6 @@
 package render
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"ooc/internal/core"
@@ -119,8 +118,7 @@ func ToDoc(d *core.Design) DesignDoc {
 
 // JSON marshals the design document with indentation.
 func JSON(d *core.Design) ([]byte, error) {
-	doc := ToDoc(d)
-	out, err := json.MarshalIndent(doc, "", "  ")
+	out, err := MarshalIndent(ToDoc(d))
 	if err != nil {
 		return nil, fmt.Errorf("render: %w", err)
 	}

@@ -19,6 +19,7 @@ import (
 
 	"ooc/internal/jobs"
 	"ooc/internal/optimize"
+	"ooc/internal/render"
 	"ooc/internal/sim"
 	"ooc/internal/specio"
 	"ooc/internal/units"
@@ -159,7 +160,7 @@ func renderJobStatus(st jobs.Status) jobStatus {
 
 // jsonBody marshals v as a JSON response body.
 func jsonBody(status int, v any) response {
-	raw, err := json.MarshalIndent(v, "", "  ")
+	raw, err := render.MarshalIndent(v)
 	if err != nil {
 		return jsonError(http.StatusInternalServerError, "rendering response: %v", err)
 	}

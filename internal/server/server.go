@@ -486,7 +486,7 @@ func renderValidation(rep *sim.Report, model sim.Model, wantText bool, sel *mode
 		out.ErrorBudget = errBudget
 		out.ModelSelected = sel.Name
 	}
-	raw, err := json.MarshalIndent(out, "", "  ")
+	raw, err := render.MarshalIndent(out)
 	if err != nil {
 		return response{}, fmt.Errorf("rendering report: %w", err)
 	}
