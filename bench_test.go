@@ -10,6 +10,8 @@
 //	BenchmarkTableIRow/*      — Table I, one row (use case) at the Fig. 4 operating point
 //	BenchmarkGenerateByModules— scalability of design generation, 3–8 modules (generic use cases)
 //	BenchmarkAblation*        — design-choice ablations (resistance model, minor losses)
+//	BenchmarkRenderJSON/*     — serving layer: encoding one use case's design document
+//	BenchmarkCanonical/*      — serving layer: one use case's canonical spec bytes (the cache key)
 //	Benchmark<component>      — substrate kernels (meander synthesis, nodal solve, FDM)
 package ooc_test
 
@@ -27,8 +29,10 @@ import (
 	"ooc/internal/linalg"
 	"ooc/internal/meander"
 	"ooc/internal/physio"
+	"ooc/internal/render"
 	"ooc/internal/report"
 	"ooc/internal/sim"
+	"ooc/internal/specio"
 	"ooc/internal/units"
 	"ooc/internal/usecases"
 )
@@ -403,6 +407,51 @@ func BenchmarkDerive(b *testing.B) {
 		if _, err := core.Derive(spec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRenderJSON measures encoding the design document that
+// /v1/design serves, per use case. Reported metric: the document's
+// size in KiB.
+func BenchmarkRenderJSON(b *testing.B) {
+	for _, uc := range usecases.All() {
+		b.Run(uc.Name, func(b *testing.B) {
+			d, err := core.Generate(uc.Build())
+			if err != nil {
+				b.Fatal(err)
+			}
+			var raw []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				raw, err = render.JSON(d)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(raw))/1024, "doc-KiB")
+		})
+	}
+}
+
+// canonicalSink keeps BenchmarkCanonical's result alive.
+var canonicalSink []byte
+
+// BenchmarkCanonical measures the canonical spec bytes that key the
+// server's response cache, per use case.
+func BenchmarkCanonical(b *testing.B) {
+	for _, uc := range usecases.All() {
+		b.Run(uc.Name, func(b *testing.B) {
+			spec := uc.Build()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				canonicalSink, err = specio.Canonical(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
