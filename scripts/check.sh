@@ -66,6 +66,7 @@ step perfbench-tests perfbench_tests
 fuzz_smoke() {
     for _target in \
         ./internal/specio:FuzzCanonicalRoundTrip \
+        ./internal/render:FuzzMarshalIndent \
         ./internal/cachesnap:FuzzRead \
         ./internal/analysis:FuzzBaselineRoundTrip \
         ./internal/server:FuzzParseDynamicQuery; do
