@@ -12,7 +12,8 @@
 //	BenchmarkAblation*        — design-choice ablations (resistance model, minor losses)
 //	BenchmarkRenderJSON/*     — serving layer: encoding one use case's design document
 //	BenchmarkCanonical/*      — serving layer: one use case's canonical spec bytes (the cache key)
-//	Benchmark<component>      — substrate kernels (meander synthesis, nodal solve, FDM)
+//	BenchmarkCrossSectionFDM/*— one cold cross-section FDM solve, n = 32 and the reference's n, w/h = 1.5 and 6.67
+//	Benchmark<component>      — substrate kernels (meander synthesis, nodal solve, cached FDM)
 package ooc_test
 
 import (
@@ -28,6 +29,7 @@ import (
 	"ooc/internal/fluid"
 	"ooc/internal/linalg"
 	"ooc/internal/meander"
+	"ooc/internal/modelsel"
 	"ooc/internal/physio"
 	"ooc/internal/render"
 	"ooc/internal/report"
@@ -326,13 +328,33 @@ func BenchmarkNodalSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkCrossSectionFDM measures the Poisson cross-section solver
-// (the CFD-lite kernel) on the standard module channel.
+// BenchmarkCrossSectionFDM measures one cold Poisson cross-section
+// solve (the CFD-lite kernel): the solve cache is emptied before every
+// iteration, so each one solves. It runs at the default resolution and
+// at the calibration reference's, on the paper grid's two similarity
+// classes: the 225 µm vertical connection channels (w/h = 1.5) and
+// the 1 mm module and feed/drain channels (w/h = 6.67), all 150 µm
+// high.
 func BenchmarkCrossSectionFDM(b *testing.B) {
-	cs := fluid.CrossSection{Width: units.Millimetres(1), Height: units.Micrometres(150)}
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.NumericResistance(cs, units.Millimetres(1), physio.MediumViscosityLow, 32); err != nil {
-			b.Fatal(err)
+	h := units.Micrometres(150)
+	aspects := []struct {
+		name  string
+		width units.Length
+	}{
+		{"1.5", units.Micrometres(225)},
+		{"6.67", units.Millimetres(1)},
+	}
+	for _, n := range []int{32, modelsel.Reference().Resolution} {
+		for _, a := range aspects {
+			cs := fluid.CrossSection{Width: a.width, Height: h}
+			b.Run(fmt.Sprintf("n=%d/aspect=%s", n, a.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sim.ResetCrossSectionCache()
+					if _, err := sim.NumericResistance(cs, units.Millimetres(1), physio.MediumViscosityLow, n); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
