@@ -218,18 +218,14 @@ func solveSORLex(ctx context.Context, g *Grid2D, f []float64, ihx2, ihy2, diag, 
 	return maxIter, rel, ErrNoConvergence
 }
 
-// rbSweeper is the shared red-black Gauss–Seidel relaxation kernel:
-// one full sweep relaxes first every cell with even i+j, then every
-// cell with odd i+j. Cells of one color depend only on the other
-// color, so all updates within a color pass are independent — each row
-// can be relaxed on any worker, in any schedule, and produce identical
-// bits. Convergence statistics are reduced per row and combined with
-// max(), which is order-insensitive, so everything a sweep reports is
-// deterministic too.
-//
-// The kernel is shared by SolvePoissonSOR's red-black path and the
-// multigrid smoother (multigrid.go), which run it over the same
-// five-point stencil at every grid level.
+// rbSweeper is the red-black Gauss–Seidel relaxation kernel of
+// SolvePoissonSOR's parallel path: one full sweep relaxes first every
+// cell with even i+j, then every cell with odd i+j. Cells of one color
+// depend only on the other color, so all updates within a color pass
+// are independent — each row can be relaxed on any worker, in any
+// schedule, and produce identical bits. Convergence statistics are
+// reduced per row and combined with max(), which is order-insensitive,
+// so everything a sweep reports is deterministic too.
 type rbSweeper struct {
 	nx, ny           int
 	ihx2, ihy2, diag float64
@@ -299,8 +295,8 @@ func (s *rbSweeper) sweep(u, f []float64) (maxUpd, maxVal float64) {
 }
 
 // solveSORRedBlack sweeps the grid in red-black (checkerboard) order
-// through the shared rbSweeper kernel until the relative max update
-// meets tol.
+// through the rbSweeper kernel until the relative max update meets
+// tol.
 func solveSORRedBlack(ctx context.Context, g *Grid2D, f []float64, ihx2, ihy2, diag, omega, tol float64, maxIter, workers int) (int, float64, error) {
 	sw := newRBSweeper(g.Nx, g.Ny, ihx2, ihy2, diag, omega, parallel.Workers(workers))
 	rel := math.Inf(1)

@@ -63,35 +63,6 @@ type solverAgg struct {
 	hist map[int]int
 }
 
-// MGLevelStats is one multigrid level's work in one solve: the grid
-// size, the smoothing sweeps performed there (for the coarsest level,
-// the coarse solver's iterations), and the level's last convergence
-// measure (the restricted-residual max-norm; for the coarsest level
-// the coarse solver's relative update).
-type MGLevelStats struct {
-	Level    int
-	Nx, Ny   int
-	Sweeps   int
-	Residual float64
-}
-
-// mgLevelKey identifies a multigrid-level aggregate. Keying on the
-// grid size as well as the depth keeps hierarchies of different solves
-// apart — and keeps Snapshot deterministic: every field aggregated
-// under one key is an order-insensitive combination of identical-shape
-// events.
-type mgLevelKey struct {
-	level  int
-	nx, ny int
-}
-
-// mgLevelAgg accumulates per-level multigrid statistics.
-type mgLevelAgg struct {
-	solves      int
-	sweeps      int
-	maxResidual float64
-}
-
 // timingAgg accumulates one named duration histogram. Buckets are
 // exponential in microseconds: bucket k holds observations with
 // microseconds in [2^(k-1), 2^k) — i.e. k = bits.Len(micros).
@@ -113,7 +84,6 @@ type Collector struct {
 	degradations    map[string]int
 	counters        map[string]int64
 	timings         map[string]*timingAgg
-	mgLevels        map[mgLevelKey]*mgLevelAgg
 }
 
 // NewCollector returns an empty collector.
@@ -123,7 +93,6 @@ func NewCollector() *Collector {
 		degradations: make(map[string]int),
 		counters:     make(map[string]int64),
 		timings:      make(map[string]*timingAgg),
-		mgLevels:     make(map[mgLevelKey]*mgLevelAgg),
 	}
 }
 
@@ -180,32 +149,6 @@ func (c *Collector) RecordSolve(s SolveStats) {
 	}
 	agg.wall += s.Wall
 	agg.hist[bits.Len(uint(s.Iterations))]++
-}
-
-// RecordMGLevels aggregates one multigrid solve's per-level
-// statistics. Aggregates are keyed by (level, grid size): counts and
-// sweep totals are sums and the residual is a max, all
-// order-insensitive, so the summary stays deterministic no matter how
-// concurrent solves interleave.
-func (c *Collector) RecordMGLevels(levels []MGLevelStats) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, s := range levels {
-		key := mgLevelKey{level: s.Level, nx: s.Nx, ny: s.Ny}
-		agg := c.mgLevels[key]
-		if agg == nil {
-			agg = &mgLevelAgg{}
-			c.mgLevels[key] = agg
-		}
-		agg.solves++
-		agg.sweeps += s.Sweeps
-		if s.Residual > agg.maxResidual {
-			agg.maxResidual = s.Residual
-		}
-	}
 }
 
 // RecordCacheHit counts one cross-section cache hit.
@@ -304,7 +247,6 @@ func (c *Collector) Reset() {
 	c.degradations = make(map[string]int)
 	c.counters = make(map[string]int64)
 	c.timings = make(map[string]*timingAgg)
-	c.mgLevels = make(map[mgLevelKey]*mgLevelAgg)
 }
 
 // IterBucket is one iteration-histogram bucket: Count solves finished
@@ -329,18 +271,6 @@ type SolverSummary struct {
 type DegradationCount struct {
 	Reason string
 	Count  int
-}
-
-// MGLevelSummary aggregates every multigrid solve's work at one
-// (level, grid size): how many hierarchies touched it, the total
-// smoothing sweeps spent there, and the worst (largest) last-residual
-// measure seen.
-type MGLevelSummary struct {
-	Level       int
-	Nx, Ny      int
-	Solves      int
-	Sweeps      int
-	MaxResidual float64
 }
 
 // NamedCount is one named monotonic counter with its value.
@@ -368,10 +298,7 @@ type TimingSummary struct {
 // sorted, and every field except the wall-clock timings is an
 // order-insensitive aggregate of deterministic events.
 type Summary struct {
-	Solvers []SolverSummary
-	// MGLevels breaks the "mg" solver's work down by hierarchy level
-	// and grid size, sorted by (level, nx, ny).
-	MGLevels    []MGLevelSummary
+	Solvers     []SolverSummary
 	CacheHits   int64
 	CacheMisses int64
 	// CacheJoinAborts counts waiters that joined an in-flight solve but
@@ -427,29 +354,6 @@ func (c *Collector) Snapshot() Summary {
 			ss.Histogram = append(ss.Histogram, IterBucket{Lo: lo, Hi: hi, Count: agg.hist[b]})
 		}
 		s.Solvers = append(s.Solvers, ss)
-	}
-	mgKeys := make([]mgLevelKey, 0, len(c.mgLevels))
-	for key := range c.mgLevels {
-		mgKeys = append(mgKeys, key)
-	}
-	sort.Slice(mgKeys, func(i, j int) bool {
-		a, b := mgKeys[i], mgKeys[j]
-		if a.level != b.level {
-			return a.level < b.level
-		}
-		if a.nx != b.nx {
-			return a.nx < b.nx
-		}
-		return a.ny < b.ny
-	})
-	for _, key := range mgKeys {
-		agg := c.mgLevels[key]
-		s.MGLevels = append(s.MGLevels, MGLevelSummary{
-			Level: key.level, Nx: key.nx, Ny: key.ny,
-			Solves:      agg.solves,
-			Sweeps:      agg.sweeps,
-			MaxResidual: agg.maxResidual,
-		})
 	}
 	reasons := make([]string, 0, len(c.degradations))
 	for r := range c.degradations {
@@ -538,17 +442,6 @@ func (s Summary) Format() string {
 			ss.Solver, ss.Solves, ss.Converged, ss.TotalIterations, ss.MinIterations, ss.MaxIterations)
 		for _, h := range ss.Histogram {
 			fmt.Fprintf(&b, "    iters %d..%d: %d\n", h.Lo, h.Hi, h.Count)
-		}
-	}
-	// The multigrid-level breakdown prints only when mg solves ran, so
-	// SOR-only summaries keep their historical rendering. Sweeps and
-	// counts are deterministic sums; the residual is a max over
-	// bit-deterministic solves, so the bytes stay reproducible.
-	if len(s.MGLevels) > 0 {
-		b.WriteString("  mg levels:\n")
-		for _, l := range s.MGLevels {
-			fmt.Fprintf(&b, "    L%d %dx%d: %d solves, %d sweeps, residual <= %.2e\n",
-				l.Level, l.Nx, l.Ny, l.Solves, l.Sweeps, l.MaxResidual)
 		}
 	}
 	if n := s.CacheLookups(); n > 0 {

@@ -11,21 +11,6 @@ import (
 	"ooc/internal/units"
 )
 
-// mgMinResolution is the resolution from which the cross-section
-// solve runs multigrid instead of SOR. Below it the SOR sweep count is
-// modest and the V-cycle's setup overhead buys little; at and above it
-// multigrid's resolution-independent cycle count wins. The default
-// resolution (32) stays below the threshold.
-const mgMinResolution = 64
-
-// useMultigrid reports whether the cross-section solve at resolution n
-// runs multigrid. The V-cycle needs odd grid dimensions to build its
-// nested hierarchy (ny = n+1, so n must be even); every other grid
-// runs SOR.
-func useMultigrid(n int) bool {
-	return n >= mgMinResolution && n%2 == 0
-}
-
 // crossSectionKey is the memoization key of the cross-section solve
 // cache. The solve is performed on the *normalized* section (unit
 // height, width w/h), so every channel in the same similarity class —
@@ -34,8 +19,7 @@ func useMultigrid(n int) bool {
 type crossSectionKey struct {
 	// aspect is fluid.CrossSection.NormalizedAspect (w/h ≥ 1).
 	aspect float64
-	// n is the grid-resolution parameter of NumericResistance; it
-	// also decides the Poisson backend (useMultigrid).
+	// n is the grid-resolution parameter of NumericResistance.
 	n int
 }
 
@@ -152,14 +136,6 @@ func solveNormalized(ctx context.Context, key crossSectionKey) (float64, error) 
 	if nx > 4097 {
 		nx = 4097
 	}
-	mg := useMultigrid(n)
-	if mg && nx%2 == 0 {
-		// Multigrid's 2:1 hierarchy needs odd dimensions; one extra
-		// column keeps the section shape (hx is recomputed below) while
-		// making the grid nestable. ny = n+1 is odd because useMultigrid
-		// only accepts even n.
-		nx++
-	}
 	hx := aspect / float64(nx-1)
 	hy := 1 / float64(ny-1)
 
@@ -171,14 +147,8 @@ func solveNormalized(ctx context.Context, key crossSectionKey) (float64, error) 
 	for i := range f {
 		f[i] = 1 // normalized source: ∇²u = −1
 	}
-	if mg {
-		if _, err := linalg.SolvePoissonMGContext(ctx, g, f, hx, hy, linalg.MGPoissonOptions{Tol: 1e-11}); err != nil {
-			return 0, fmt.Errorf("sim: cross-section solve: %w", err)
-		}
-	} else {
-		if _, err := linalg.SolvePoissonSORContext(ctx, g, f, hx, hy, linalg.SORPoissonOptions{Tol: 1e-11}); err != nil {
-			return 0, fmt.Errorf("sim: cross-section solve: %w", err)
-		}
+	if _, err := linalg.SolvePoissonSORContext(ctx, g, f, hx, hy, linalg.SORPoissonOptions{Tol: 1e-11}); err != nil {
+		return 0, fmt.Errorf("sim: cross-section solve: %w", err)
 	}
 
 	// Integrate u over the section (u vanishes on the boundary, so the
@@ -220,19 +190,16 @@ func solveNormalized(ctx context.Context, key crossSectionKey) (float64, error) 
 //
 // n sets the grid resolution across the channel height (the width gets
 // proportionally more cells); 8 ≤ n ≤ MaxNumericResolution required.
-// The resolution also picks the Poisson backend: multigrid for even
-// n ≥ 64, where its resolution-independent cycle count pays off, and
-// SOR everywhere else.
+// Every resolution solves with SOR (linalg.SolvePoissonSOR).
 func NumericResistance(cs fluid.CrossSection, length units.Length, mu units.Viscosity, n int) (units.HydraulicResistance, error) {
 	return NumericResistanceContext(context.Background(), cs, length, mu, n)
 }
 
 // NumericResistanceContext is NumericResistance with cooperative
-// cancellation: the underlying Poisson solve checks ctx between sweeps
-// (or within each V-cycle), and cache waiters stop waiting when ctx is
-// done. Cancellation and deadline errors wrap context.Canceled /
-// context.DeadlineExceeded and are therefore distinguishable from
-// numeric failures.
+// cancellation: the underlying Poisson solve checks ctx between sweeps,
+// and cache waiters stop waiting when ctx is done. Cancellation and
+// deadline errors wrap context.Canceled / context.DeadlineExceeded and
+// are therefore distinguishable from numeric failures.
 func NumericResistanceContext(ctx context.Context, cs fluid.CrossSection, length units.Length, mu units.Viscosity, n int) (units.HydraulicResistance, error) {
 	if err := cs.Validate(); err != nil {
 		return 0, err

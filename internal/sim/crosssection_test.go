@@ -154,44 +154,24 @@ type errDummy string
 
 func (e errDummy) Error() string { return string(e) }
 
-// TestCrossSectionBackendBySize: the grid picks the Poisson backend.
-// SOR runs below resolution 64, so the default resolution keeps its
-// historical solver, and on odd n, whose grid multigrid cannot
-// coarsen; multigrid runs on even n ≥ 64 and reports its per-level
-// telemetry.
+// TestCrossSectionBackendBySize: SOR is the cross-section solver at
+// every resolution, the default one (32) and the calibration
+// reference's (128) alike; each cold solve records exactly one sor
+// solve.
 func TestCrossSectionBackendBySize(t *testing.T) {
 	cs := fluid.CrossSection{Width: units.Micrometres(300), Height: units.Micrometres(100)}
 	l, mu := units.Millimetres(1), units.PascalSeconds(1e-3)
 	t.Cleanup(ResetCrossSectionCache)
-	cases := []struct {
-		n    int
-		want string
-	}{
-		{n: 32, want: "sor"},
-		{n: 48, want: "sor"},
-		{n: 64, want: "mg"},
-		{n: 65, want: "sor"},
-		{n: 128, want: "mg"},
-	}
-	for _, tc := range cases {
-		// Multigrid's own fallback also reports "sor" on a grid it cannot
-		// coarsen, so pin the rule itself too: an odd n must never take
-		// the multigrid path (and its extra column).
-		if got := useMultigrid(tc.n); got != (tc.want == "mg") {
-			t.Errorf("useMultigrid(%d) = %v, want %v", tc.n, got, tc.want == "mg")
-		}
+	for _, n := range []int{32, 128} {
 		ResetCrossSectionCache()
 		col := obs.NewCollector()
 		ctx := obs.WithCollector(context.Background(), col)
-		if _, err := NumericResistanceContext(ctx, cs, l, mu, tc.n); err != nil {
-			t.Fatalf("n=%d: %v", tc.n, err)
+		if _, err := NumericResistanceContext(ctx, cs, l, mu, n); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
 		s := col.Snapshot()
-		if len(s.Solvers) != 1 || s.Solvers[0].Solver != tc.want {
-			t.Errorf("n=%d: solved with %+v, want %s", tc.n, s.Solvers, tc.want)
-		}
-		if levels := strings.Contains(s.Format(), "mg levels:"); levels != (tc.want == "mg") {
-			t.Errorf("n=%d: telemetry reports mg levels = %v, want %v:\n%s", tc.n, levels, tc.want == "mg", s.Format())
+		if len(s.Solvers) != 1 || s.Solvers[0].Solver != "sor" || s.Solvers[0].Solves != 1 {
+			t.Errorf("n=%d: solved with %+v, want one sor solve", n, s.Solvers)
 		}
 	}
 }
