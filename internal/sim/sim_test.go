@@ -203,6 +203,58 @@ func TestNumericResistanceMatchesExact(t *testing.T) {
 	}
 }
 
+// TestNumericConvergesToExact pins the FDM as a second-order
+// discretisation of the Fourier series at the paper grid's two aspect
+// ratios (w/h = 1.5 and 20/3): its error is positive, falls fourfold
+// per doubling of n, and Richardson extrapolation of n = 32 and 64
+// recovers the series. This is what makes the FDM a fit reference for
+// the exact model.
+func TestNumericConvergesToExact(t *testing.T) {
+	mu := physio.MediumViscosityLow
+	l := units.Millimetres(1)
+	for _, w := range []units.Length{units.Micrometres(225), units.Millimetres(1)} {
+		cs := fluid.CrossSection{Width: w, Height: units.Micrometres(150)}
+		exact, err := fluid.ResistanceExact(cs, l, mu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns := []int{16, 32, 64}
+		r := make([]float64, len(ns))
+		e := make([]float64, len(ns))
+		for i, n := range ns {
+			num, err := NumericResistance(cs, l, mu, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r[i] = float64(num)
+			e[i] = (r[i] - float64(exact)) / float64(exact)
+			// Positive: in the parallel-plate limit the discrete
+			// solution is exact at the nodes, and the node sum is a
+			// trapezoid rule on the concave y(1−y)/2, which underestimates
+			// Q and so overestimates R.
+			if e[i] <= 0 {
+				t.Errorf("w=%v n=%d: relative error %.3e, want > 0", w, n, e[i])
+			}
+		}
+		for i := 1; i < len(ns); i++ {
+			// 4 ± 0.05: an error c·h² + d·h⁴ falls by 4·(1 + 3|g|/e₃₂)
+			// per halving of h, where g = −4·d·h₃₂⁴ is the n = 16/32
+			// Richardson gap (−3.3e-6 and −4.8e-6 here, flooring of
+			// nx = ⌊n·w/h⌋+1 included): 4.005 and 4.012 at worst.
+			if ratio := e[i-1] / e[i]; math.Abs(ratio-4) > 0.05 {
+				t.Errorf("w=%v: error ratio n=%d→%d is %.4f, want 4 ± 0.05", w, ns[i-1], ns[i], ratio)
+			}
+		}
+		// 5e-7: the extrapolate cancels c·h² and leaves −4·d·h₆₄⁴ =
+		// g/16, 2.1e-7 and 3.0e-7 here; the SOR stopping tolerance
+		// (1e-11 relative update) is far below that.
+		rich := (4*r[2] - r[1]) / 3
+		if gap := (rich - float64(exact)) / float64(exact); math.Abs(gap) > 5e-7 {
+			t.Errorf("w=%v: Richardson extrapolate of n=32/64 is %.3e from exact, want within 5e-7", w, gap)
+		}
+	}
+}
+
 // TestNumericExposesEq6Error: at h/w = 2/3 the numeric solution sides
 // with the exact series against the paper's approximation — the
 // mechanism behind the CFD deviations.
