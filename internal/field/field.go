@@ -295,7 +295,7 @@ func solve(ctx context.Context, d *core.Design, opt Options, backend maskedSolve
 	// cell size cancels in the finite-volume fluxes, so b = Q/k). The
 	// system is singular up to an additive constant; the sources
 	// balance, so b is compatible. See solvers.go for the backends and
-	// why geometric multigrid is not one of them.
+	// why the masked domain has no multigrid hierarchy.
 	tol := opt.Tol
 	if tol == 0 {
 		tol = 1e-8

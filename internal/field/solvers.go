@@ -28,11 +28,9 @@ import (
 //     leans on the designer-seeded initial guess; it converges, just
 //     in more iterations than CG.
 //
-// Geometric multigrid is NOT implemented here: the V-cycle needs a 2:1
+// There is no geometric multigrid backend: a V-cycle needs a 2:1
 // nestable rectangular hierarchy, and the masked channel footprint has
-// none — coarsening a one-cell-wide channel disconnects it. The
-// multigrid win lives in the rectangular cross-section solves of
-// internal/sim.
+// none — coarsening a one-cell-wide channel disconnects it.
 //
 // Both backends are bit-deterministic for every worker count: row
 // ownership is disjoint, per-row maxima are reduced serially, and the
