@@ -5,9 +5,8 @@
 // deviations from the specification embedded in the file.
 //
 // The validation is context-driven: Ctrl-C (SIGINT/SIGTERM) or an
-// elapsed -timeout budget aborts it cooperatively. Under
-// -model numeric a deadline degrades per-channel to the analytic
-// exact resistance instead of failing; degraded channels are listed.
+// elapsed -timeout budget aborts it cooperatively under every model,
+// -model numeric included, and the exit status is nonzero.
 //
 // Under -model dynamic the steady solve is replaced by the transient
 // tier (internal/dyn): pressures and flows evolve from rest under a
@@ -36,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -202,9 +200,5 @@ func run(ctx context.Context, path string, opt sim.Options, budget float64, csv 
 	fmt.Printf("aggregate: flow dev avg %.2f%% max %.2f%% | perfusion dev avg %.2f%% max %.2f%%\n",
 		rep.AvgFlowDeviation*100, rep.MaxFlowDeviation*100,
 		rep.AvgPerfDeviation*100, rep.MaxPerfDeviation*100)
-	if len(rep.Degradations) > 0 {
-		fmt.Printf("degraded to analytic exact resistance under deadline: %d channels (%s)\n",
-			len(rep.Degradations), strings.Join(rep.Degradations, ", "))
-	}
 	return nil
 }

@@ -73,7 +73,7 @@ func ValidatePressureDriven(d *core.Design, opt Options) (*Report, error) {
 }
 
 // ValidatePressureDrivenContext is ValidatePressureDriven with the
-// cancellation and degradation semantics of ValidateContext.
+// cancellation and deadline semantics of ValidateContext.
 func ValidatePressureDrivenContext(ctx context.Context, d *core.Design, opt Options) (*Report, error) {
 	set, err := DesignPumpPressuresContext(ctx, d)
 	if err != nil {
@@ -99,10 +99,5 @@ func ValidatePressureDrivenContext(ctx context.Context, d *core.Design, opt Opti
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	rep, err := buildReport(d, b, sol, sol.MaxKCLResidual())
-	if err != nil {
-		return nil, err
-	}
-	rep.Degradations = b.degraded
-	return rep, nil
+	return buildReport(d, b, sol, sol.MaxKCLResidual())
 }

@@ -190,10 +190,9 @@ const (
 	// with bend losses disabled this must reproduce the design exactly.
 	ModelApprox = sim.ModelApprox
 	// ModelNumeric validates with the FDM duct-flow solve (the
-	// CFD-lite leg); under a deadline its channels degrade gracefully
-	// to ModelExact, recorded in ValidationReport.Degradations. It is
-	// an offline oracle: it converges to ModelExact, so the oocd
-	// daemon does not serve it and Optimize rejects it.
+	// CFD-lite leg); an expired deadline aborts it like every other
+	// model. It is an offline oracle: it converges to ModelExact, so
+	// the oocd daemon does not serve it and Optimize rejects it.
 	ModelNumeric = sim.ModelNumeric
 )
 
@@ -205,12 +204,10 @@ func Validate(d *Design, opt ValidationOptions) (*ValidationReport, error) {
 }
 
 // ValidateContext is Validate with cooperative cancellation: the
-// network build and its iterative solves check ctx, cancellation and
-// deadline errors wrap context.Canceled / context.DeadlineExceeded
-// (use errors.Is to tell them from ErrNoConvergence), and under
-// ModelNumeric a deadline degrades per-channel to the analytic exact
-// model instead of failing (ValidationReport.Degradations lists the
-// affected channels).
+// network build and its iterative solves check ctx, and under every
+// model cancellation and deadline errors wrap context.Canceled /
+// context.DeadlineExceeded (use errors.Is to tell them from
+// ErrNoConvergence) with a nil report.
 func ValidateContext(ctx context.Context, d *Design, opt ValidationOptions) (*ValidationReport, error) {
 	return sim.ValidateContext(ctx, d, opt)
 }
@@ -220,13 +217,13 @@ func ValidateContext(ctx context.Context, d *Design, opt ValidationOptions) (*Va
 // from a cancellation or deadline abort.
 var ErrNoConvergence = linalg.ErrNoConvergence
 
-// Solver telemetry. Iterative solves, cross-section cache traffic and
-// graceful model degradations are recorded into the TelemetryCollector
-// carried by the context (or a process-wide default when none is
-// installed); its Snapshot is a deterministic Summary whose Format
-// rendering is byte-identical for any worker count.
+// Solver telemetry. Iterative solves and cross-section cache traffic
+// are recorded into the TelemetryCollector carried by the context (or
+// a process-wide default when none is installed); its Snapshot is a
+// deterministic Summary whose Format rendering is byte-identical for
+// any worker count.
 type (
-	// TelemetryCollector aggregates solver/cache/degradation events.
+	// TelemetryCollector aggregates solver and cache events.
 	TelemetryCollector = obs.Collector
 	// TelemetrySummary is a deterministic snapshot of a collector.
 	TelemetrySummary = obs.Summary
@@ -377,7 +374,7 @@ func ValidatePressureDriven(d *Design, opt ValidationOptions) (*ValidationReport
 }
 
 // ValidatePressureDrivenContext is ValidatePressureDriven with the
-// cancellation and degradation semantics of ValidateContext.
+// cancellation and deadline semantics of ValidateContext.
 func ValidatePressureDrivenContext(ctx context.Context, d *Design, opt ValidationOptions) (*ValidationReport, error) {
 	return sim.ValidatePressureDrivenContext(ctx, d, opt)
 }

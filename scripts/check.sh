@@ -110,20 +110,26 @@ step bench-smoke bench_smoke
 
 # Cancellation smoke: an already-expired deadline must abort the grid
 # evaluation promptly (cooperative ctx checks in every solver loop),
-# exit nonzero, and say why. GOTRACEBACK=all would dump goroutines on
-# a deadlock; `timeout` turns a hang (leaked worker blocking exit)
-# into a failure.
-cancel_smoke() {
-    go build -o "$WORK/oocbench" ./cmd/oocbench
-    if out=$(timeout 30 env GOTRACEBACK=all "$WORK/oocbench" -timeout 1ms 2>&1); then
-        echo "oocbench -timeout 1ms should have exited nonzero" >&2
+# exit nonzero, and say why. The numeric model gets no exemption: a
+# Fig. 4 validation under -model numeric must abort too, not print an
+# exact-model table as a numeric one. GOTRACEBACK=all would dump
+# goroutines on a deadlock; `timeout` turns a hang (leaked worker
+# blocking exit) into a failure.
+expect_deadline() {
+    if out=$(timeout 30 env GOTRACEBACK=all "$WORK/oocbench" "$@" 2>&1); then
+        echo "oocbench $* should have exited nonzero" >&2
         return 1
     fi
     echo "$out" | grep -q "deadline" || {
-        echo "oocbench -timeout 1ms did not mention the deadline:" >&2
+        echo "oocbench $* did not mention the deadline:" >&2
         echo "$out" >&2
         return 1
     }
+}
+cancel_smoke() {
+    go build -o "$WORK/oocbench" ./cmd/oocbench
+    expect_deadline -timeout 1ms
+    expect_deadline -fig4 -model numeric -timeout 1us
 }
 step cancel-smoke cancel_smoke
 
