@@ -117,8 +117,8 @@ func runJSON(ctx context.Context, cfg config, opt sim.Options, out, errOut io.Wr
 		})
 	}
 	s := col.Snapshot()
-	doc.CacheHits, doc.CacheMisses = s.CacheHits, s.CacheMisses
-	for _, sv := range s.Solvers {
+	doc.CacheHits, doc.CacheMisses = s.Counter(obs.CrossSectionHits), s.Counter(obs.CrossSectionMisses)
+	for _, sv := range s.Solvers() {
 		doc.Solvers = append(doc.Solvers, benchSolve{
 			Solver:          sv.Solver,
 			Solves:          sv.Solves,

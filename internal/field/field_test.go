@@ -223,11 +223,11 @@ func TestSolveContextRecordsCGStats(t *testing.T) {
 	if _, err := SolveContext(ctx, d, Options{CellSize: 150e-6, Tol: 1e-9}); err != nil {
 		t.Fatal(err)
 	}
-	s := c.Snapshot()
-	if len(s.Solvers) != 1 || s.Solvers[0].Solver != "cg" {
-		t.Fatalf("collector solvers: %+v", s.Solvers)
+	solvers := c.Snapshot().Solvers()
+	if len(solvers) != 1 || solvers[0].Solver != "cg" {
+		t.Fatalf("collector solvers: %+v", solvers)
 	}
-	cg := s.Solvers[0]
+	cg := solvers[0]
 	if cg.Solves != 1 || cg.Converged != 1 || cg.TotalIterations <= 0 {
 		t.Fatalf("cg stats: %+v", cg)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"ooc/internal/linalg"
 	"ooc/internal/obs"
@@ -111,13 +110,11 @@ func solveMaskedCG(ctx context.Context, f *Field, rhs []float64, tol float64, ma
 		bNorm = 1
 	}
 
-	start := time.Now()
 	recordCG := func(iters int, converged bool) {
 		obs.FromContext(ctx).RecordSolve(obs.SolveStats{
 			Solver:     "cg",
 			Iterations: iters,
 			Residual:   math.Sqrt(rr) / bNorm,
-			Wall:       time.Since(start),
 			Converged:  converged,
 		})
 	}
@@ -223,14 +220,12 @@ func solveMaskedSOR(ctx context.Context, f *Field, rhs []float64, tol float64, m
 		})
 	}
 
-	start := time.Now()
 	rel := math.Inf(1)
 	record := func(iters int, converged bool) {
 		obs.FromContext(ctx).RecordSolve(obs.SolveStats{
 			Solver:     "sor",
 			Iterations: iters,
 			Residual:   rel,
-			Wall:       time.Since(start),
 			Converged:  converged,
 		})
 	}

@@ -41,9 +41,8 @@ func TestSORSchemeRecordsStats(t *testing.T) {
 	if _, err := solve(ctx, d, Options{CellSize: 150e-6, Tol: 1e-9}, solveMaskedSOR); err != nil {
 		t.Fatal(err)
 	}
-	s := c.Snapshot()
-	if len(s.Solvers) != 1 || s.Solvers[0].Solver != "sor" || s.Solvers[0].Converged != 1 {
-		t.Fatalf("want one converged sor solve, got %+v", s.Solvers)
+	if s := c.Snapshot().Solvers(); len(s) != 1 || s[0].Solver != "sor" || s[0].Converged != 1 {
+		t.Fatalf("want one converged sor solve, got %+v", s)
 	}
 }
 

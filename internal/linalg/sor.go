@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"ooc/internal/obs"
 	"ooc/internal/parallel"
@@ -153,7 +152,6 @@ func SolvePoissonSORContext(ctx context.Context, g *Grid2D, f []float64, hx, hy 
 	ihy2 := 1 / (hy * hy)
 	diag := 2 * (ihx2 + ihy2)
 
-	start := time.Now()
 	var it int
 	var rel float64
 	var err error
@@ -166,7 +164,6 @@ func SolvePoissonSORContext(ctx context.Context, g *Grid2D, f []float64, hx, hy 
 		Solver:     "sor",
 		Iterations: it,
 		Residual:   rel,
-		Wall:       time.Since(start),
 		Converged:  err == nil,
 	}
 	obs.FromContext(ctx).RecordSolve(st)

@@ -368,15 +368,15 @@ func TestSORContextRecordsStats(t *testing.T) {
 	if st.Residual < 0 || st.Residual > 1e-10 {
 		t.Fatalf("converged residual %g out of range", st.Residual)
 	}
-	s := c.Snapshot()
-	if len(s.Solvers) != 1 || s.Solvers[0].Solver != "sor" {
-		t.Fatalf("collector solvers: %+v", s.Solvers)
+	s := c.Snapshot().Solvers()
+	if len(s) != 1 || s[0].Solver != "sor" {
+		t.Fatalf("collector solvers: %+v", s)
 	}
-	if s.Solvers[0].Solves != 1 || s.Solvers[0].Converged != 1 {
-		t.Fatalf("collector counts: %+v", s.Solvers[0])
+	if s[0].Solves != 1 || s[0].Converged != 1 {
+		t.Fatalf("collector counts: %+v", s[0])
 	}
-	if s.Solvers[0].TotalIterations != st.Iterations {
-		t.Fatalf("collector iterations %d vs stats %d", s.Solvers[0].TotalIterations, st.Iterations)
+	if s[0].TotalIterations != st.Iterations {
+		t.Fatalf("collector iterations %d vs stats %d", s[0].TotalIterations, st.Iterations)
 	}
 }
 
@@ -413,8 +413,8 @@ func TestSORContextMidSolveAbortKeepsPartialProgress(t *testing.T) {
 	if math.IsInf(st.Residual, 1) || st.Residual <= 0 {
 		t.Fatalf("aborted solve must report the last sweep's residual, got %g", st.Residual)
 	}
-	if s := c.Snapshot(); s.Solvers[0].Converged != 0 || s.Solvers[0].Solves != 1 {
-		t.Fatalf("collector recorded aborted solve wrong: %+v", s.Solvers[0])
+	if s := c.Snapshot().Solvers(); s[0].Converged != 0 || s[0].Solves != 1 {
+		t.Fatalf("collector recorded aborted solve wrong: %+v", s[0])
 	}
 	// The grid must hold the partial iterate, not be reset.
 	var nonzero bool

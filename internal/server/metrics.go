@@ -13,9 +13,11 @@ import (
 // conventional one-metric-per-line exposition (Prometheus-style names
 // and labels) so standard scrapers and plain grep both work. Ordering
 // is deterministic: gauges first, then counters and histograms, each
-// sorted by the Summary's own ordering. The Summary's solver,
-// cross-section cache and degradation aggregates are not rendered: no
-// served request runs the FDM, the only path that records them.
+// sorted by the Summary's own ordering. Every histogram renders as a
+// duration family; the solver.<kind> iteration histograms and the
+// solver and xsection counters never reach this collector, because no
+// served request runs an iterative solver or the cross-section cache
+// (TestNoRequestReachesFDM).
 func renderMetrics(s obs.Summary, inflight, queued, jobsRunning, jobsQueued int64, uptime time.Duration) string {
 	var b strings.Builder
 	b.WriteString("# oocd metrics\n")
@@ -64,28 +66,28 @@ func renderMetrics(s obs.Summary, inflight, queued, jobsRunning, jobsQueued int6
 		}
 	}
 
-	for _, t := range s.Timings {
+	for _, h := range s.Histograms {
 		// request.<endpoint> are the HTTP latencies; job.wall is the
 		// search-job wall-clock histogram.
 		family := "ooc_request_duration_micros"
-		endpoint := strings.TrimPrefix(t.Name, "request.")
-		if strings.HasPrefix(t.Name, "job.") {
+		endpoint := strings.TrimPrefix(h.Name, "request.")
+		if strings.HasPrefix(h.Name, "job.") {
 			family = "ooc_job_duration_micros"
-			endpoint = strings.TrimPrefix(t.Name, "job.")
+			endpoint = strings.TrimPrefix(h.Name, "job.")
 		}
-		if t.Name == "modelsel.select" {
+		if h.Name == "modelsel.select" {
 			family = "ooc_model_selection_duration_micros"
 			endpoint = "select"
 		}
 		var cum int64
-		for _, bk := range t.Buckets {
+		for _, bk := range h.Buckets {
 			cum += bk.Count
 			fmt.Fprintf(&b, "%s_bucket{endpoint=%q,le=\"%d\"} %d\n",
-				family, endpoint, bk.HiMicros, cum)
+				family, endpoint, bk.Hi, cum)
 		}
-		fmt.Fprintf(&b, "%s_bucket{endpoint=%q,le=\"+Inf\"} %d\n", family, endpoint, t.Count)
-		fmt.Fprintf(&b, "%s_sum{endpoint=%q} %d\n", family, endpoint, t.Total.Microseconds())
-		fmt.Fprintf(&b, "%s_count{endpoint=%q} %d\n", family, endpoint, t.Count)
+		fmt.Fprintf(&b, "%s_bucket{endpoint=%q,le=\"+Inf\"} %d\n", family, endpoint, h.Count)
+		fmt.Fprintf(&b, "%s_sum{endpoint=%q} %d\n", family, endpoint, h.Sum)
+		fmt.Fprintf(&b, "%s_count{endpoint=%q} %d\n", family, endpoint, h.Count)
 	}
 	return b.String()
 }

@@ -83,7 +83,7 @@ func normalizedIntegral(ctx context.Context, key crossSectionKey) (float64, erro
 		// hit/abort split schedule-dependent for expired contexts.
 		select {
 		case <-e.done:
-			obs.FromContext(ctx).RecordCacheHit()
+			obs.FromContext(ctx).Add(obs.CrossSectionHits, 1)
 			return e.val, e.err
 		default:
 		}
@@ -94,19 +94,19 @@ func normalizedIntegral(ctx context.Context, key crossSectionKey) (float64, erro
 			// to count ctx-expired waiters as hits, inflating the hit
 			// rate that -stats reports and making the counter
 			// schedule-dependent under deadline pressure.
-			obs.FromContext(ctx).RecordCacheHit()
+			obs.FromContext(ctx).Add(obs.CrossSectionHits, 1)
 			return e.val, e.err
 		case <-ctx.Done():
 			// The owning solve keeps running under its own context; this
 			// waiter just stops waiting for it — a join abort, not a hit.
-			obs.FromContext(ctx).RecordCacheJoinAbort()
+			obs.FromContext(ctx).Add(obs.CrossSectionJoinAborts, 1)
 			return 0, fmt.Errorf("sim: waiting for cross-section solve: %w", ctx.Err())
 		}
 	}
 	e := &csEntry{done: make(chan struct{})}
 	crossSectionCache.m[key] = e
 	crossSectionCache.Unlock()
-	obs.FromContext(ctx).RecordCacheMiss()
+	obs.FromContext(ctx).Add(obs.CrossSectionMisses, 1)
 
 	e.val, e.err = solveNormalized(ctx, key)
 	if e.err != nil {

@@ -169,9 +169,9 @@ func TestCrossSectionBackendBySize(t *testing.T) {
 		if _, err := NumericResistanceContext(ctx, cs, l, mu, n); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		s := col.Snapshot()
-		if len(s.Solvers) != 1 || s.Solvers[0].Solver != "sor" || s.Solvers[0].Solves != 1 {
-			t.Errorf("n=%d: solved with %+v, want one sor solve", n, s.Solvers)
+		s := col.Snapshot().Solvers()
+		if len(s) != 1 || s[0].Solver != "sor" || s[0].Solves != 1 {
+			t.Errorf("n=%d: solved with %+v, want one sor solve", n, s)
 		}
 	}
 }
@@ -287,9 +287,9 @@ func TestJoinAbortNotCountedAsHit(t *testing.T) {
 		t.Fatalf("expired waiter: err = %v, want a deadline abort", err)
 	}
 	snap := col.Snapshot()
-	if snap.CacheHits != 0 || snap.CacheMisses != 0 || snap.CacheJoinAborts != 1 {
-		t.Fatalf("expired waiter counted as hits=%d misses=%d aborts=%d, want 0/0/1",
-			snap.CacheHits, snap.CacheMisses, snap.CacheJoinAborts)
+	hits, misses, aborts := snap.Counter(obs.CrossSectionHits), snap.Counter(obs.CrossSectionMisses), snap.Counter(obs.CrossSectionJoinAborts)
+	if hits != 0 || misses != 0 || aborts != 1 {
+		t.Fatalf("expired waiter counted as hits=%d misses=%d aborts=%d, want 0/0/1", hits, misses, aborts)
 	}
 
 	// The owner completes; the same waiter context still aborts nothing
@@ -301,8 +301,8 @@ func TestJoinAbortNotCountedAsHit(t *testing.T) {
 		t.Fatalf("completed entry under expired ctx: v=%v err=%v", v, err)
 	}
 	snap = col.Snapshot()
-	if snap.CacheHits != 1 || snap.CacheJoinAborts != 1 {
-		t.Fatalf("completed-entry lookup: hits=%d aborts=%d, want 1/1", snap.CacheHits, snap.CacheJoinAborts)
+	if hits, aborts := snap.Counter(obs.CrossSectionHits), snap.Counter(obs.CrossSectionJoinAborts); hits != 1 || aborts != 1 {
+		t.Fatalf("completed-entry lookup: hits=%d aborts=%d, want 1/1", hits, aborts)
 	}
 	ResetCrossSectionCache()
 }
@@ -351,8 +351,9 @@ func TestResetDoesNotResurrectInFlightSuccess(t *testing.T) {
 	if _, err := NumericResistanceContext(ctx, cs, l, mu, 64); err != nil {
 		t.Fatal(err)
 	}
-	if snap := col.Snapshot(); snap.CacheMisses != 1 || snap.CacheHits != 0 {
-		t.Fatalf("post-reset lookup: %d hits / %d misses, want 0 / 1", snap.CacheHits, snap.CacheMisses)
+	snap := col.Snapshot()
+	if hits, misses := snap.Counter(obs.CrossSectionHits), snap.Counter(obs.CrossSectionMisses); misses != 1 || hits != 0 {
+		t.Fatalf("post-reset lookup: %d hits / %d misses, want 0 / 1", hits, misses)
 	}
 	if got := CrossSectionCacheSize(); got != 1 {
 		t.Fatalf("post-reset recompute left cache size %d, want 1", got)
