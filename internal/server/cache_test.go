@@ -10,9 +10,9 @@ import (
 	"ooc/internal/obs"
 )
 
-func fillOK(body string) func() (response, bool, error) {
-	return func() (response, bool, error) {
-		return response{status: 200, contentType: "text/plain", body: []byte(body)}, true, nil
+func fillOK(body string) func() (response, error) {
+	return func() (response, error) {
+		return response{status: 200, contentType: "text/plain", body: []byte(body)}, nil
 	}
 }
 
@@ -71,19 +71,19 @@ func TestCacheRecencyOnHit(t *testing.T) {
 	}
 }
 
-// TestCacheErrorAndUncacheableNotRetained: fills that fail or decline
-// caching do not occupy a slot afterwards.
+// TestCacheErrorAndUncacheableNotRetained: fills that fail or answer
+// with anything but a 200 do not occupy a slot afterwards.
 func TestCacheErrorAndUncacheableNotRetained(t *testing.T) {
 	ctx := context.Background()
 	col := obs.NewCollector()
 	c := newRespCache(4)
-	if _, _, err := c.do(ctx, col, "boom", func() (response, bool, error) {
-		return response{}, false, fmt.Errorf("transient")
+	if _, _, err := c.do(ctx, col, "boom", func() (response, error) {
+		return response{}, fmt.Errorf("transient")
 	}); err == nil {
 		t.Fatal("expected the fill error back")
 	}
-	if _, _, err := c.do(ctx, col, "meh", func() (response, bool, error) {
-		return response{status: 200, body: []byte("degraded")}, false, nil
+	if _, _, err := c.do(ctx, col, "meh", func() (response, error) {
+		return response{status: 422, body: []byte("unprocessable")}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +108,10 @@ func TestCacheLenCountsInFlight(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, err := c.do(ctx, col, "slow", func() (response, bool, error) {
+		_, _, err := c.do(ctx, col, "slow", func() (response, error) {
 			close(entered)
 			<-release
-			return response{status: 200, contentType: "text/plain", body: []byte("slow")}, true, nil
+			return response{status: 200, contentType: "text/plain", body: []byte("slow")}, nil
 		})
 		if err != nil {
 			t.Error(err)
@@ -146,10 +146,10 @@ func TestCacheJoinAbortNotCountedAsHit(t *testing.T) {
 	ownerDone := make(chan struct{})
 	go func() {
 		defer close(ownerDone)
-		_, _, err := c.do(context.Background(), col, "k", func() (response, bool, error) {
+		_, _, err := c.do(context.Background(), col, "k", func() (response, error) {
 			close(entered)
 			<-release
-			return response{status: 200, contentType: "text/plain", body: []byte("v")}, true, nil
+			return response{status: 200, contentType: "text/plain", body: []byte("v")}, nil
 		})
 		if err != nil {
 			t.Error(err)
@@ -195,6 +195,8 @@ func TestCacheImportEntries(t *testing.T) {
 		{Key: "warm", Status: 200, ContentType: "text/plain", Body: []byte("warm-body")},
 		{Key: "", Status: 200, Body: []byte("keyless")},
 		{Key: "zero-status", Body: []byte("no status")},
+		{Key: "rejected", Status: 422, Body: []byte("unprocessable")},
+		{Key: "failed", Status: 500, Body: []byte("internal error")},
 	})
 	if added != 1 {
 		t.Fatalf("imported %d entries, want only the valid new one", added)

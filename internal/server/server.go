@@ -413,27 +413,27 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	w.Header().Set("X-OOC-Timeout", budget.String())
 
-	resp, hit, err := s.cache.do(ctx, s.col, "design|"+string(key), func() (response, bool, error) {
+	resp, hit, err := s.cache.do(ctx, s.col, "design|"+string(key), func() (response, error) {
 		if err := s.adm.acquire(ctx); err != nil {
-			return response{}, false, err
+			return response{}, err
 		}
 		defer s.adm.release()
 		if err := ctx.Err(); err != nil {
 			// The budget burned down while waiting in the queue.
-			return response{}, false, err
+			return response{}, err
 		}
 		d, err := s.generate(ctx, spec)
 		if err != nil {
-			// A spec the pipeline rejects is a client-side problem;
-			// don't cache it — the discipline is errors are never
-			// cached, so a fixed daemon (or spec) gets a fresh run.
-			return jsonError(http.StatusUnprocessableEntity, "generate: %v", err), false, nil
+			// A spec the pipeline rejects is a client-side problem; the
+			// cache keeps only 200s, so a fixed daemon (or spec) gets a
+			// fresh run.
+			return jsonError(http.StatusUnprocessableEntity, "generate: %v", err), nil
 		}
 		raw, err := render.JSON(d)
 		if err != nil {
-			return response{}, false, fmt.Errorf("rendering design: %w", err)
+			return response{}, fmt.Errorf("rendering design: %w", err)
 		}
-		return response{status: http.StatusOK, contentType: "application/json", body: raw}, true, nil
+		return response{status: http.StatusOK, contentType: "application/json", body: raw}, nil
 	})
 	if err != nil {
 		resp = errorResponse(err)
@@ -624,17 +624,17 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	}
 	cacheKey := fmt.Sprintf("validate|%s|%s|%s", variant, rendering, key)
 
-	resp, hit, err := s.cache.do(ctx, s.col, cacheKey, func() (response, bool, error) {
+	resp, hit, err := s.cache.do(ctx, s.col, cacheKey, func() (response, error) {
 		if err := s.adm.acquire(ctx); err != nil {
-			return response{}, false, err
+			return response{}, err
 		}
 		defer s.adm.release()
 		if err := ctx.Err(); err != nil {
-			return response{}, false, err
+			return response{}, err
 		}
 		d, err := s.generate(ctx, spec)
 		if err != nil {
-			return jsonError(http.StatusUnprocessableEntity, "generate: %v", err), false, nil
+			return jsonError(http.StatusUnprocessableEntity, "generate: %v", err), nil
 		}
 		opt := sim.DefaultOptions()
 		opt.Model = model
@@ -647,28 +647,20 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 			dr, err := s.validateDynamic(ctx, d, opt)
 			if err != nil {
 				if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-					return response{}, false, err
+					return response{}, err
 				}
-				return jsonError(http.StatusUnprocessableEntity, "validate: %v", err), false, nil
+				return jsonError(http.StatusUnprocessableEntity, "validate: %v", err), nil
 			}
-			out, err := renderDynamic(dr, rendering)
-			if err != nil {
-				return response{}, false, err
-			}
-			return out, true, nil
+			return renderDynamic(dr, rendering)
 		}
 		rep, err := s.validate(ctx, d, opt)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				return response{}, false, err
+				return response{}, err
 			}
-			return jsonError(http.StatusUnprocessableEntity, "validate: %v", err), false, nil
+			return jsonError(http.StatusUnprocessableEntity, "validate: %v", err), nil
 		}
-		out, err := renderValidation(rep, model, rendering == "text", sel, errBudget)
-		if err != nil {
-			return response{}, false, err
-		}
-		return out, true, nil
+		return renderValidation(rep, model, rendering == "text", sel, errBudget)
 	})
 	if err != nil {
 		resp = errorResponse(err)

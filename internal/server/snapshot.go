@@ -23,10 +23,10 @@ type RestoreStats struct {
 	Responses int `json:"imported_responses"`
 }
 
-// Snapshot captures the completed, cacheable response-cache entries as
-// a snapshot value. In-flight singleflight slots and error results are
+// Snapshot captures the completed response-cache entries as a
+// snapshot value. In-flight singleflight slots and error results are
 // never included: the former hold no value yet and the latter are
-// never cached in the first place.
+// never cached in the first place — only 200s are.
 func (s *Server) Snapshot() *cachesnap.Snapshot {
 	return &cachesnap.Snapshot{Responses: s.cache.export()}
 }
