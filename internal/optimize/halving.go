@@ -99,9 +99,15 @@ func searchHalving(ctx context.Context, spec core.Spec, opt Options, heights, ga
 	var mu sync.Mutex
 	progressed := 0
 
-	survivors := make([]int, len(points))
+	// A survivor carries the design it generated at rung 0 into every
+	// later rung, which only re-validates it.
+	type survivor struct {
+		idx int
+		d   *core.Design
+	}
+	survivors := make([]survivor, len(points))
 	for i := range survivors {
-		survivors[i] = i
+		survivors[i].idx = i
 	}
 
 	for ri, rg := range ladder {
@@ -115,8 +121,9 @@ func searchHalving(ctx context.Context, spec core.Spec, opt Options, heights, ga
 		}
 		var rungBest *Candidate
 		outs, mapErr := parallel.MapContext(ctx, len(survivors), opt.Workers, func(i int) (outcome, error) {
-			p := points[survivors[i]]
-			cand, s, d, rep, err := evaluate(ctx, spec, opt, p.h, p.g, ri, rg.sim)
+			sv := survivors[i]
+			p := points[sv.idx]
+			cand, s, d, rep, err := evaluate(ctx, spec, opt, p.h, p.g, ri, rg.sim, sv.d)
 			if err != nil {
 				return outcome{}, err
 			}
@@ -178,13 +185,13 @@ func searchHalving(ctx context.Context, spec core.Spec, opt Options, heights, ga
 		// total order. Candidates that failed to generate (NaN score)
 		// are dropped outright.
 		type ranked struct {
-			idx  int
+			survivor
 			cand Candidate
 		}
 		var viable []ranked
 		for i, o := range outs {
 			if o.ok && !math.IsNaN(o.cand.Score) {
-				viable = append(viable, ranked{idx: survivors[i], cand: o.cand})
+				viable = append(viable, ranked{survivor: survivor{idx: survivors[i].idx, d: o.d}, cand: o.cand})
 			}
 		}
 		sort.SliceStable(viable, func(a, b int) bool {
@@ -211,11 +218,11 @@ func searchHalving(ctx context.Context, spec core.Spec, opt Options, heights, ga
 			// there is nothing to promote.
 			return res, ErrInfeasible
 		}
-		next := make([]int, keep)
+		next := make([]survivor, keep)
 		for i := range next {
-			next[i] = viable[i].idx
+			next[i] = viable[i].survivor
 		}
-		sort.Ints(next)
+		sort.Slice(next, func(a, b int) bool { return next[a].idx < next[b].idx })
 		survivors = next
 	}
 

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"ooc/internal/core"
 	"ooc/internal/obs"
 	"ooc/internal/sim"
 	"ooc/internal/units"
+	"ooc/internal/usecases"
 )
 
 // halvingOptions is the default 20-candidate successive-halving
@@ -77,6 +80,58 @@ func TestHalvingDeterministicAcrossWorkers(t *testing.T) {
 		par := run(workers)
 		if got, want := fingerprint(par), fingerprint(serial); got != want {
 			t.Fatalf("workers=%d result differs from serial:\n%s\nvs\n%s", workers, got, want)
+		}
+	}
+}
+
+// TestHalvingReusesRungZeroDesigns: the final rung re-validates the
+// design each survivor generated at rung 0. Every final-rung record
+// must equal a from-scratch evaluation of its own point at the final
+// fidelity, and the winner must equal a fresh generation of BestSpec,
+// so a survivor paired with another candidate's design shows at any
+// worker count.
+func TestHalvingReusesRungZeroDesigns(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"male_simple", "generic4"} {
+		uc, err := usecases.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := uc.Build()
+		for _, workers := range []int{1, 4} {
+			opt := halvingOptions()
+			opt.Workers = workers
+			res, err := Search(ctx, spec, opt)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			ladder := halvingLadder(opt.Sim)
+			final := len(ladder) - 1
+			checked := 0
+			for _, c := range res.Candidates {
+				if c.Rung != final {
+					continue
+				}
+				checked++
+				want, _, _, _, err := evaluate(ctx, spec, opt, c.ChannelHeight, c.MinGap, final, ladder[final].sim, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(c.Score) != math.Float64bits(want.Score) || c.Feasible != want.Feasible || c.Reason != want.Reason {
+					t.Fatalf("%s workers=%d h=%v gap=%v: final rung recorded %+v, a fresh evaluation gives %+v",
+						name, workers, c.ChannelHeight, c.MinGap, c, want)
+				}
+			}
+			if checked == 0 || checked != res.FullEvaluations {
+				t.Fatalf("%s workers=%d: checked %d final-rung records, want %d", name, workers, checked, res.FullEvaluations)
+			}
+			fresh, err := core.Generate(res.BestSpec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Best, fresh) {
+				t.Fatalf("%s workers=%d: Best differs from a fresh generation of BestSpec", name, workers)
+			}
 		}
 	}
 }

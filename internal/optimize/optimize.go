@@ -341,24 +341,30 @@ func CheckOptions(opt Options) error {
 	return nil
 }
 
-// evaluate generates and validates one candidate design point under
-// simOpt and classifies it against the constraints. The returned
-// report and design are nil when the candidate failed to generate or
+// evaluate validates one candidate design point under simOpt and
+// classifies it against the constraints. It generates the design only
+// when d is nil: generation depends on the candidate's spec alone, and
+// validation only reads the design, so a design generated for the
+// point at one fidelity serves every later one. The returned report
+// and design are nil when the candidate failed to generate or
 // validate; an abort error is returned only when ctx was cut, so the
 // caller can distinguish "this candidate is bad" from "the search is
 // over".
-func evaluate(ctx context.Context, spec core.Spec, opt Options, h, g units.Length, rung int, simOpt sim.Options) (Candidate, core.Spec, *core.Design, *sim.Report, error) {
+func evaluate(ctx context.Context, spec core.Spec, opt Options, h, g units.Length, rung int, simOpt sim.Options, d *core.Design) (Candidate, core.Spec, *core.Design, *sim.Report, error) {
 	cand := Candidate{ChannelHeight: h, MinGap: g, Rung: rung, Score: math.NaN()}
 	s := spec
 	s.Geometry.ChannelHeight = h
 	s.Geometry.MinGap = g
-	d, err := core.GenerateContext(ctx, s)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cand, s, nil, nil, cerr
+	if d == nil {
+		var err error
+		d, err = core.GenerateContext(ctx, s)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cand, s, nil, nil, cerr
+			}
+			cand.Reason = fmt.Sprintf("generation failed: %v", err)
+			return cand, s, nil, nil, nil
 		}
-		cand.Reason = fmt.Sprintf("generation failed: %v", err)
-		return cand, s, nil, nil, nil
 	}
 	rep, err := sim.ValidateContext(ctx, d, simOpt)
 	if err != nil {
@@ -402,7 +408,7 @@ func searchGrid(ctx context.Context, spec core.Spec, opt Options, heights, gaps 
 			if err := ctx.Err(); err != nil {
 				return abort(err)
 			}
-			cand, s, d, rep, err := evaluate(ctx, spec, opt, h, g, 0, opt.Sim)
+			cand, s, d, rep, err := evaluate(ctx, spec, opt, h, g, 0, opt.Sim, nil)
 			if err != nil {
 				// The evaluation was cut short: the candidate did not
 				// complete, so it is neither counted nor logged.
