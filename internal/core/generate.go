@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"ooc/internal/fluid"
 	"ooc/internal/geometry"
@@ -392,7 +393,24 @@ func assemble(res *Resolved, plan *FlowPlan, st *layoutState, iterations int) (*
 	feedCS := res.FeedCrossSection()
 	lead := float64(geo.LeadLength)
 
-	var channels []Channel
+	// Node names, built once per module index: F<i> and D<i> are the
+	// supply-feed and discharge-drain taps, Min<i> and Mout<i> the
+	// module ports.
+	feedTap := make([]string, n)
+	modIn := make([]string, n)
+	modOut := make([]string, n)
+	drainTap := make([]string, n)
+	for i := 0; i < n; i++ {
+		idx := strconv.Itoa(i)
+		feedTap[i] = "F" + idx
+		modIn[i] = "Min" + idx
+		modOut[i] = "Mout" + idx
+		drainTap[i] = "D" + idx
+	}
+
+	// Two leads plus n−1 feed and n−1 drain segments, and n each of
+	// supply, module, connection and discharge channels.
+	channels := make([]Channel, 0, 6*n)
 	addChannel := func(name string, kind ChannelKind, idx int, cs fluid.CrossSection,
 		path geometry.Polyline, q units.FlowRate, from, to string) error {
 		length := units.Length(path.Length())
@@ -422,13 +440,13 @@ func assemble(res *Resolved, plan *FlowPlan, st *layoutState, iterations int) (*
 	// Inlet lead and supply feed segments (y = +offS).
 	if err := addChannel("inlet-lead", InletLead, 0, feedCS,
 		line(st.supTap[0]-lead, st.offS, st.supTap[0], st.offS),
-		plan.SupplyFeed[0], "inlet", "F0"); err != nil {
+		plan.SupplyFeed[0], "inlet", feedTap[0]); err != nil {
 		return nil, err
 	}
 	for i := 1; i < n; i++ {
-		if err := addChannel(fmt.Sprintf("feed-%d", i), FeedSegment, i, feedCS,
+		if err := addChannel("feed-"+strconv.Itoa(i), FeedSegment, i, feedCS,
 			line(st.supTap[i-1], st.offS, st.supTap[i], st.offS),
-			plan.SupplyFeed[i], fmt.Sprintf("F%d", i-1), fmt.Sprintf("F%d", i)); err != nil {
+			plan.SupplyFeed[i], feedTap[i-1], feedTap[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -438,17 +456,17 @@ func assemble(res *Resolved, plan *FlowPlan, st *layoutState, iterations int) (*
 	// inlet.
 	for i := 0; i < n; i++ {
 		world := mirrorTranslate(st.supPath[i], st.xIn[i], 1, true)
-		if err := addChannel(fmt.Sprintf("supply-%d", i), SupplyChannel, i, vertCS,
-			reverse(world), plan.Supply[i], fmt.Sprintf("F%d", i), fmt.Sprintf("Min%d", i)); err != nil {
+		if err := addChannel("supply-"+strconv.Itoa(i), SupplyChannel, i, vertCS,
+			reverse(world), plan.Supply[i], feedTap[i], modIn[i]); err != nil {
 			return nil, err
 		}
 	}
 
 	// Module channels along y = 0.
 	for i := 0; i < n; i++ {
-		if err := addChannel(fmt.Sprintf("module-%d", i), ModuleChannel, i, modCS,
+		if err := addChannel("module-"+strconv.Itoa(i), ModuleChannel, i, modCS,
 			line(st.xIn[i], 0, st.xOut[i], 0),
-			plan.Module[i], fmt.Sprintf("Min%d", i), fmt.Sprintf("Mout%d", i)); err != nil {
+			plan.Module[i], modIn[i], modOut[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -457,13 +475,13 @@ func assemble(res *Resolved, plan *FlowPlan, st *layoutState, iterations int) (*
 	// between consecutive modules.
 	if err := addChannel("connection-0", ConnectionChannel, 0, vertCS,
 		line(st.xIn[0]-st.gaps[0], 0, st.xIn[0], 0),
-		plan.Connection[0], "cin", "Min0"); err != nil {
+		plan.Connection[0], "cin", modIn[0]); err != nil {
 		return nil, err
 	}
 	for i := 1; i < n; i++ {
-		if err := addChannel(fmt.Sprintf("connection-%d", i), ConnectionChannel, i, vertCS,
+		if err := addChannel("connection-"+strconv.Itoa(i), ConnectionChannel, i, vertCS,
 			line(st.xOut[i-1], 0, st.xIn[i], 0),
-			plan.Connection[i], fmt.Sprintf("Mout%d", i-1), fmt.Sprintf("Min%d", i)); err != nil {
+			plan.Connection[i], modOut[i-1], modIn[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -472,23 +490,23 @@ func assemble(res *Resolved, plan *FlowPlan, st *layoutState, iterations int) (*
 	// downwards), attached at the module outlet.
 	for i := 0; i < n; i++ {
 		world := mirrorTranslate(st.disPath[i], st.xOut[i], -1, false)
-		if err := addChannel(fmt.Sprintf("discharge-%d", i), DischargeChannel, i, vertCS,
-			world, plan.Discharge[i], fmt.Sprintf("Mout%d", i), fmt.Sprintf("D%d", i)); err != nil {
+		if err := addChannel("discharge-"+strconv.Itoa(i), DischargeChannel, i, vertCS,
+			world, plan.Discharge[i], modOut[i], drainTap[i]); err != nil {
 			return nil, err
 		}
 	}
 
 	// Discharge drain segments (y = −offD) flowing towards the outlet.
 	for i := 1; i < n; i++ {
-		if err := addChannel(fmt.Sprintf("drain-%d", i), DrainSegment, i, feedCS,
+		if err := addChannel("drain-"+strconv.Itoa(i), DrainSegment, i, feedCS,
 			line(st.disTap[i], -st.offD, st.disTap[i-1], -st.offD),
-			plan.DischargeDrain[i], fmt.Sprintf("D%d", i), fmt.Sprintf("D%d", i-1)); err != nil {
+			plan.DischargeDrain[i], drainTap[i], drainTap[i-1]); err != nil {
 			return nil, err
 		}
 	}
 	if err := addChannel("outlet-lead", OutletLead, 0, feedCS,
 		line(st.disTap[0], -st.offD, st.disTap[0]-lead, -st.offD),
-		plan.DischargeDrain[0], "D0", "outlet"); err != nil {
+		plan.DischargeDrain[0], drainTap[0], "outlet"); err != nil {
 		return nil, err
 	}
 

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"ooc/internal/linalg"
 	"ooc/internal/units"
@@ -151,37 +150,9 @@ func (n *Network) Solve() (*Solution, error) {
 	if nn == 0 {
 		return nil, errors.New("netlist: empty network")
 	}
-	comp := n.components()
-
-	// Per-component external flow balance check.
-	balance := make(map[int]float64)
-	for _, s := range n.sources {
-		if s.From != External {
-			balance[comp[s.From]] -= float64(s.Flow)
-		}
-		if s.To != External {
-			balance[comp[s.To]] += float64(s.Flow)
-		}
-	}
-	var scale float64
-	for _, s := range n.sources {
-		if a := math.Abs(float64(s.Flow)); a > scale {
-			scale = a
-		}
-	}
-	if scale == 0 {
-		scale = 1
-	}
-	var unbalanced []int
-	for c, b := range balance {
-		if math.Abs(b) > 1e-9*scale {
-			unbalanced = append(unbalanced, c)
-		}
-	}
-	sort.Ints(unbalanced)
-	if len(unbalanced) > 0 {
-		c := unbalanced[0]
-		return nil, fmt.Errorf("%w: component %d accumulates %g m³/s", ErrUnbalanced, c, balance[c])
+	comp := n.components(false)
+	if err := n.checkBalance(comp, nil); err != nil {
+		return nil, err
 	}
 
 	// Assemble the conductance matrix G·P = I.
@@ -202,9 +173,9 @@ func (n *Network) Solve() (*Solution, error) {
 
 	// Ground the lowest-index node of each component: overwrite its KCL
 	// row with P = 0.
-	grounded := make(map[int]bool)
+	grounded := make([]bool, nn)
 	for i := 0; i < nn; i++ {
-		c := comp[NodeID(i)]
+		c := comp[i]
 		if grounded[c] {
 			continue
 		}
@@ -245,15 +216,15 @@ func (n *Network) StampConductance(m *linalg.Matrix) {
 	}
 }
 
-// components labels each node with a connected-component index
-// (channels and internal sources both connect).
-func (n *Network) components() map[NodeID]int {
+// components labels each node with the root of its connected
+// component: channels and internal flow sources connect, and so do
+// internal pressure sources when withPressure is set.
+func (n *Network) components(withPressure bool) []int {
 	parent := make([]int, len(n.nodeNames))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -269,11 +240,48 @@ func (n *Network) components() map[NodeID]int {
 			union(int(s.From), int(s.To))
 		}
 	}
-	out := make(map[NodeID]int, len(parent))
-	for i := range parent {
-		out[NodeID(i)] = find(i)
+	if withPressure {
+		for _, ps := range n.psources {
+			if ps.From != External && ps.To != External {
+				union(int(ps.From), int(ps.To))
+			}
+		}
 	}
-	return out
+	// find never moves a root, so each node can point straight at its
+	// root in one ascending pass.
+	for i := range parent {
+		parent[i] = find(i)
+	}
+	return parent
+}
+
+// checkBalance sums the external flow sources of each component of
+// comp, indexed by component root, and reports the lowest root whose
+// sum is not zero to within rounding of the largest source flow.
+// Components that exempt marks are skipped (nil exempts none).
+func (n *Network) checkBalance(comp []int, exempt []bool) error {
+	balance := make([]float64, len(comp))
+	var scale float64
+	for _, s := range n.sources {
+		if s.From != External {
+			balance[comp[s.From]] -= float64(s.Flow)
+		}
+		if s.To != External {
+			balance[comp[s.To]] += float64(s.Flow)
+		}
+		if a := math.Abs(float64(s.Flow)); a > scale {
+			scale = a
+		}
+	}
+	if scale == 0 {
+		scale = 1
+	}
+	for c, b := range balance {
+		if (exempt == nil || !exempt[c]) && math.Abs(b) > 1e-9*scale {
+			return fmt.Errorf("%w: component %d accumulates %g m³/s", ErrUnbalanced, c, b)
+		}
+	}
+	return nil
 }
 
 // Pressure returns the solved pressure at a node (relative to the

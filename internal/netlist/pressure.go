@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"ooc/internal/linalg"
 	"ooc/internal/units"
@@ -57,12 +56,12 @@ func (n *Network) SolveMNA() (*MNASolution, error) {
 	np := len(n.psources)
 	size := nn + np
 
-	comp := n.componentsWithPressure()
+	comp := n.components(true)
 
 	// Components with a pressure source touching External exchange
 	// fluid through it, so the flow-source balance check does not
-	// apply to them.
-	extRef := make(map[int]bool)
+	// apply to them. extRef is indexed by component root.
+	extRef := make([]bool, nn)
 	for _, ps := range n.psources {
 		if ps.From == External && ps.To != External {
 			extRef[comp[ps.To]] = true
@@ -71,34 +70,8 @@ func (n *Network) SolveMNA() (*MNASolution, error) {
 			extRef[comp[ps.From]] = true
 		}
 	}
-	balance := make(map[int]float64)
-	for _, s := range n.sources {
-		if s.From != External {
-			balance[comp[s.From]] -= float64(s.Flow)
-		}
-		if s.To != External {
-			balance[comp[s.To]] += float64(s.Flow)
-		}
-	}
-	var scale float64
-	for _, s := range n.sources {
-		if a := math.Abs(float64(s.Flow)); a > scale {
-			scale = a
-		}
-	}
-	if scale == 0 {
-		scale = 1
-	}
-	var unbalanced []int
-	for c, b := range balance {
-		if !extRef[c] && math.Abs(b) > 1e-9*scale {
-			unbalanced = append(unbalanced, c)
-		}
-	}
-	sort.Ints(unbalanced)
-	if len(unbalanced) > 0 {
-		c := unbalanced[0]
-		return nil, fmt.Errorf("%w: component %d accumulates %g m³/s", ErrUnbalanced, c, balance[c])
+	if err := n.checkBalance(comp, extRef); err != nil {
+		return nil, err
 	}
 
 	g, err := linalg.NewMatrix(size, size)
@@ -135,9 +108,9 @@ func (n *Network) SolveMNA() (*MNASolution, error) {
 	// Ground one node per component, preferring components without an
 	// External-referenced pressure source (those already have an
 	// absolute reference).
-	grounded := make(map[int]bool)
+	grounded := make([]bool, nn)
 	for i := 0; i < nn; i++ {
-		c := comp[NodeID(i)]
+		c := comp[i]
 		if grounded[c] || extRef[c] {
 			continue
 		}
@@ -208,40 +181,4 @@ func (s *MNASolution) MaxKCLResidual() units.FlowRate {
 		}
 	}
 	return units.FlowRate(mx)
-}
-
-// componentsWithPressure is components() extended with pressure-source
-// edges.
-func (n *Network) componentsWithPressure() map[NodeID]int {
-	parent := make([]int, len(n.nodeNames))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	for _, ch := range n.channels {
-		union(int(ch.From), int(ch.To))
-	}
-	for _, s := range n.sources {
-		if s.From != External && s.To != External {
-			union(int(s.From), int(s.To))
-		}
-	}
-	for _, ps := range n.psources {
-		if ps.From != External && ps.To != External {
-			union(int(ps.From), int(ps.To))
-		}
-	}
-	out := make(map[NodeID]int, len(parent))
-	for i := range parent {
-		out[NodeID(i)] = find(i)
-	}
-	return out
 }

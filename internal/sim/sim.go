@@ -203,21 +203,45 @@ func isTapNode(node string) bool {
 	return (node[0] == 'F' || node[0] == 'D') && node[1] >= '0' && node[1] <= '9'
 }
 
-// mainVelocityAt returns the largest design mean velocity among the
-// other channels meeting at the node — the "main line" a branching
-// channel taps into.
-func mainVelocityAt(d *core.Design, node, except string) units.Velocity {
-	var vMax units.Velocity
-	for i := range d.Channels {
-		c := &d.Channels[i]
-		if c.Name == except || (c.From != node && c.To != node) {
-			continue
+// junction is what the network build needs to know about one design
+// node: how many channel ends meet there, and the design mean
+// velocities of the channels that meet there.
+type junction struct {
+	// degree counts the channel ends at the node; three or more make a
+	// branching T-junction.
+	degree int
+	// top is the largest design mean velocity of a channel meeting the
+	// node and topName that channel's name; other is the largest among
+	// the channels not named topName. Velocities start at zero, so a
+	// node whose channels carry no positive velocity reads zero.
+	top     units.Velocity
+	topName string
+	other   units.Velocity
+}
+
+// add folds one channel end meeting the node into the junction.
+func (j *junction) add(name string, v units.Velocity) {
+	j.degree++
+	switch {
+	case v > j.top:
+		if name != j.topName {
+			j.other = j.top
 		}
-		if v := fluid.MeanVelocity(c.DesignFlow, c.Cross); v > vMax {
-			vMax = v
-		}
+		j.top, j.topName = v, name
+	case name != j.topName && v > j.other:
+		j.other = v
 	}
-	return vMax
+}
+
+// mainVelocity returns the largest design mean velocity among the
+// channels meeting at the node that are not named except: the "main
+// line" a branching channel taps into. Exclusion is by name, not by
+// channel index, because a design loaded from JSON may repeat a name.
+func (j *junction) mainVelocity(except string) units.Velocity {
+	if except == j.topName {
+		return j.other
+	}
+	return j.top
 }
 
 // builtNetwork is a compiled validation network before pumps are
@@ -239,6 +263,42 @@ func (b *builtNetwork) node(name string) netlist.NodeID {
 	return id
 }
 
+// channelGraph is what the network build learns in its one pass over
+// the design's channels.
+type channelGraph struct {
+	// ends holds each channel's From and To node IDs.
+	ends [][2]netlist.NodeID
+	// junctions is indexed by node ID.
+	junctions []junction
+}
+
+// scanChannels numbers the design's nodes in b, counts their degrees
+// and records their main-line velocities, in one pass over d.Channels.
+// Nodes are numbered From, then To, in channel order: that order fixes
+// the nodal matrix.
+func scanChannels(b *builtNetwork, d *core.Design) channelGraph {
+	g := channelGraph{
+		ends:      make([][2]netlist.NodeID, len(d.Channels)),
+		junctions: make([]junction, 0, len(d.Channels)),
+	}
+	node := func(name string) netlist.NodeID {
+		id := b.node(name)
+		if int(id) == len(g.junctions) {
+			g.junctions = append(g.junctions, junction{})
+		}
+		return id
+	}
+	for i := range d.Channels {
+		c := &d.Channels[i]
+		from, to := node(c.From), node(c.To)
+		g.ends[i] = [2]netlist.NodeID{from, to}
+		v := fluid.MeanVelocity(c.DesignFlow, c.Cross)
+		g.junctions[from].add(c.Name, v)
+		g.junctions[to].add(c.Name, v)
+	}
+	return g
+}
+
 // buildNetwork compiles the design's channels into a lumped network
 // under the selected model, without pump sources.
 func buildNetwork(ctx context.Context, d *core.Design, opt Options) (*builtNetwork, error) {
@@ -254,20 +314,6 @@ func buildNetwork(ctx context.Context, d *core.Design, opt Options) (*builtNetwo
 	med := d.Resolved.Spec.Fluid
 	mu := med.Viscosity
 
-	b := &builtNetwork{
-		net:     netlist.New(),
-		nodes:   make(map[string]netlist.NodeID),
-		chanIDs: make([]netlist.ChannelID, len(d.Channels)),
-	}
-
-	// Node degrees decide which channel ends sit on a branching
-	// T-junction (feed/drain taps, module ports).
-	degree := make(map[string]int)
-	for i := range d.Channels {
-		degree[d.Channels[i].From]++
-		degree[d.Channels[i].To]++
-	}
-
 	if opt.Model != ModelApprox && opt.Model != ModelExact && opt.Model != ModelNumeric && opt.Model != ModelDynamic {
 		return nil, fmt.Errorf("sim: unknown model %d", int(opt.Model))
 	}
@@ -275,6 +321,19 @@ func buildNetwork(ctx context.Context, d *core.Design, opt Options) (*builtNetwo
 	if err != nil {
 		return nil, err
 	}
+
+	// The designer's chips have 4n + 3 nodes for 6n channels, so the
+	// channel count covers the nodes of every chip of two or more
+	// modules.
+	b := &builtNetwork{
+		net:     netlist.New(),
+		nodes:   make(map[string]netlist.NodeID, len(d.Channels)),
+		chanIDs: make([]netlist.ChannelID, len(d.Channels)),
+	}
+	// Node degrees decide which channel ends sit on a branching
+	// T-junction (feed/drain taps, module ports); the scan also holds
+	// the main-line velocity a tap's branch loss reads.
+	g := scanChannels(b, d)
 
 	// Per-channel resistance, including linearized minor losses — a
 	// pure function of the (read-only) design, computed through the
@@ -313,16 +372,17 @@ func buildNetwork(ctx context.Context, d *core.Design, opt Options) (*builtNetwo
 			}
 		}
 		if !opt.DisableJunctionLosses {
-			for _, node := range []string{c.From, c.To} {
-				if degree[node] < 3 {
+			for _, node := range g.ends[i] {
+				j := &g.junctions[node]
+				if j.degree < 3 {
 					continue
 				}
 				// The feed/drain taps are sharp T-junctions whose branch
 				// loss includes the cross-flow term; module ports open
 				// into wide organ basins where the main stream is slow
 				// and only the plain branch loss applies.
-				if isTapNode(node) {
-					vMain := mainVelocityAt(d, node, c.Name)
+				if isTapNode(b.net.NodeName(node)) {
+					vMain := j.mainVelocity(c.Name)
 					extraDP += float64(fluid.JunctionBranchLoss(c.DesignFlow, c.Cross, vMain, med))
 				} else {
 					extraDP += float64(fluid.MinorLoss(fluid.JunctionBranch, c.DesignFlow, c.Cross, med))
@@ -339,11 +399,11 @@ func buildNetwork(ctx context.Context, d *core.Design, opt Options) (*builtNetwo
 		return nil, err
 	}
 
-	// Network assembly is serial and in channel-index order: node and
-	// channel IDs must not depend on goroutine scheduling.
+	// Channel assembly is serial and in channel-index order, on the
+	// scan's node numbering: node and channel IDs must not depend on
+	// goroutine scheduling.
 	for i := range d.Channels {
-		c := &d.Channels[i]
-		id, err := b.net.AddChannel(c.Name, b.node(c.From), b.node(c.To), resistances[i])
+		id, err := b.net.AddChannel(d.Channels[i].Name, g.ends[i][0], g.ends[i][1], resistances[i])
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
