@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ooc/internal/fluid"
@@ -322,6 +324,27 @@ func TestScalesToEightModules(t *testing.T) {
 	}
 	if v := d.DesignRuleCheck(); len(v) != 0 {
 		t.Fatalf("DRC violations (%d): first %v", len(v), v[0])
+	}
+}
+
+// TestModuleCountBound: a specification of 16 modules still
+// generates; one more module is rejected, naming the limit.
+func TestModuleCountBound(t *testing.T) {
+	spec := maleSimpleSpec()
+	spec.Modules = nil
+	for i := 0; i < 17; i++ {
+		spec.Modules = append(spec.Modules, ModuleSpec{
+			Name:  "liver" + strconv.Itoa(i),
+			Organ: physio.Liver,
+			Kind:  Layered,
+		})
+	}
+	if _, err := Generate(spec); err == nil || !strings.Contains(err.Error(), "limit of 16") {
+		t.Fatalf("17 modules: got %v, want an error naming the limit of 16", err)
+	}
+	spec.Modules = spec.Modules[:16]
+	if d := mustGenerate(t, spec); len(d.Modules) != 16 {
+		t.Fatalf("modules: %d", len(d.Modules))
 	}
 }
 

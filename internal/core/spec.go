@@ -153,6 +153,24 @@ func (g GeometryParams) validate() error {
 	return nil
 }
 
+// MaxModules bounds the organ modules of one specification. It is
+// twice the paper's largest use case (8 modules), which leaves room
+// for every organ of the reference table plus custom modules. The cost
+// of a design grows much faster than its module count: the design
+// document is 122 KB at 16 modules and 61 MB at 200, so without a
+// bound a specification of a few KB can allocate without limit.
+// Dense LU stays the right network solver up to about this size.
+const MaxModules = 16
+
+// CheckModuleCount rejects a specification of more than MaxModules
+// organ modules.
+func CheckModuleCount(n int) error {
+	if n > MaxModules {
+		return fmt.Errorf("core: %d organ modules exceed the limit of %d", n, MaxModules)
+	}
+	return nil
+}
+
 // Spec is the formal specification of the desired OoC (Sec. III-A).
 type Spec struct {
 	// Name identifies the chip (e.g. "male_simple").
@@ -183,6 +201,9 @@ type Spec struct {
 func (s *Spec) Validate() error {
 	if len(s.Modules) == 0 {
 		return errors.New("core: specification has no organ modules")
+	}
+	if err := CheckModuleCount(len(s.Modules)); err != nil {
+		return err
 	}
 	if err := s.Fluid.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)

@@ -224,6 +224,59 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestModuleCountRejected: a body of more than core.MaxModules modules
+// is a 400 from every endpoint that takes a spec, at parse: the
+// pipeline never runs and no job is admitted.
+func TestModuleCountRejected(t *testing.T) {
+	s := New(Config{})
+	var generated atomic.Int64
+	s.generate = func(ctx context.Context, spec core.Spec) (*core.Design, error) {
+		generated.Add(1)
+		return core.GenerateContext(ctx, spec)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	uc, err := usecases.ByName("generic4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := uc.Build()
+	first := spec.Modules[0]
+	spec.Modules = nil
+	for i := 0; i < 17; i++ {
+		m := first
+		m.Name = fmt.Sprintf("module%d", i)
+		spec.Modules = append(spec.Modules, m)
+	}
+	body, err := specio.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{"/v1/design", "/v1/validate", "/v1/validate?model=dynamic&duration=1s"} {
+		resp, raw := post(t, ts.Client(), ts.URL+path, body, nil)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "limit of 16") {
+			t.Errorf("%s: status %d, want a 400 naming the limit of 16: %s", path, resp.StatusCode, raw)
+		}
+	}
+	if n := generated.Load(); n != 0 {
+		t.Fatalf("rejected oversized specs ran the pipeline %d times", n)
+	}
+
+	job, err := json.Marshal(map[string]any{"spec": json.RawMessage(body)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := post(t, ts.Client(), ts.URL+"/v1/jobs", job, nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "limit of 16") {
+		t.Fatalf("job: status %d, want a 400 naming the limit of 16: %s", resp.StatusCode, raw)
+	}
+	if list := s.jobs.List(); len(list) != 0 {
+		t.Fatalf("rejected oversized job admitted %d jobs", len(list))
+	}
+}
+
 // TestSingleflight: N identical concurrent requests perform exactly
 // one solve; everyone gets the same 200.
 func TestSingleflight(t *testing.T) {

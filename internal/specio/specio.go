@@ -95,6 +95,11 @@ func (f File) ToSpec() (core.Spec, error) {
 	if f.ChannelHeightM > 0 {
 		spec.Geometry.ChannelHeight = units.Metres(f.ChannelHeightM)
 	}
+	// Bound the module count before converting a single module, so an
+	// oversized document is refused before any work is done on it.
+	if err := core.CheckModuleCount(len(f.Modules)); err != nil {
+		return core.Spec{}, fmt.Errorf("specio: %w", err)
+	}
 	for _, m := range f.Modules {
 		ms := core.ModuleSpec{
 			Name:            m.Name,

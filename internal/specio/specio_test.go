@@ -1,6 +1,7 @@
 package specio
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -68,6 +69,33 @@ func TestParseErrors(t *testing.T) {
 	}
 	if _, err := Parse([]byte(`{"modules": [{"organ": "liver", "tissue": "cubic"}]}`)); err == nil {
 		t.Error("unknown tissue accepted")
+	}
+}
+
+// TestModuleCountBound: a document of 16 modules parses; one more
+// module is rejected at parse, naming the limit.
+func TestModuleCountBound(t *testing.T) {
+	doc := func(n int) []byte {
+		var b strings.Builder
+		b.WriteString(`{"organism_mass_kg": 1e-6, "shear_stress_pa": 1.5, "modules": [`)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteString(",")
+			}
+			fmt.Fprintf(&b, `{"name": "liver%d", "organ": "liver"}`, i)
+		}
+		b.WriteString("]}")
+		return []byte(b.String())
+	}
+	if _, err := Parse(doc(17)); err == nil || !strings.Contains(err.Error(), "limit of 16") {
+		t.Fatalf("17 modules: got %v, want an error naming the limit of 16", err)
+	}
+	spec, err := Parse(doc(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Modules) != 16 {
+		t.Fatalf("modules %d", len(spec.Modules))
 	}
 }
 
