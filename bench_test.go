@@ -13,6 +13,7 @@
 //	BenchmarkRenderJSON/*     — serving layer: encoding one use case's design document
 //	BenchmarkCanonical/*      — serving layer: one use case's canonical spec bytes (the cache key)
 //	BenchmarkCrossSectionFDM/*— one cold cross-section FDM solve, n = 32 and the reference's n, w/h = 1.5 and 6.67
+//	BenchmarkSearch/*         — design-space search: grid vs successive halving over the 20 default candidates, one worker
 //	Benchmark<component>      — substrate kernels (meander synthesis, nodal solve, cached FDM)
 package ooc_test
 
@@ -30,6 +31,7 @@ import (
 	"ooc/internal/linalg"
 	"ooc/internal/meander"
 	"ooc/internal/modelsel"
+	"ooc/internal/optimize"
 	"ooc/internal/physio"
 	"ooc/internal/render"
 	"ooc/internal/report"
@@ -216,6 +218,7 @@ func BenchmarkGenerateByModules(b *testing.B) {
 			}
 			var d *ooc.Design
 			var err error
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				d, err = ooc.Generate(spec)
 				if err != nil {
@@ -320,10 +323,46 @@ func BenchmarkNodalSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Validate(d, sim.Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSearch measures one design-space search over the 20 default
+// candidates with the default constraints, exhaustive grid against
+// successive halving. One worker makes ns/op the CPU a search costs
+// under either strategy. Reported metrics: evaluations at any fidelity
+// and at full fidelity.
+func BenchmarkSearch(b *testing.B) {
+	for _, strategy := range []optimize.Strategy{optimize.StrategyGrid, optimize.StrategyHalving} {
+		for _, name := range []string{"male_simple", "generic4"} {
+			b.Run(strategy.String()+"/"+name, func(b *testing.B) {
+				uc, err := usecases.ByName(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				spec := uc.Build()
+				opt := optimize.Options{
+					Objective:   optimize.MinimizeArea,
+					Constraints: optimize.DefaultConstraints(),
+					Strategy:    strategy,
+					Workers:     1,
+				}
+				var res *optimize.Result
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err = optimize.Search(context.Background(), spec, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(res.Evaluated), "evals")
+				b.ReportMetric(float64(res.FullEvaluations), "full-evals")
+			})
 		}
 	}
 }

@@ -101,10 +101,10 @@ examples_smoke() {
 step examples-smoke examples_smoke
 
 # Smoke-run the headline benchmarks once (-benchtime=1x): catches
-# bit-rot in the parallel evaluation path and the cross-section cache
-# without paying for a full measurement run.
+# bit-rot in the parallel evaluation path, the cross-section cache and
+# both search strategies without paying for a full measurement run.
 bench_smoke() {
-    go test -run '^$' -bench 'BenchmarkTableIParallel|BenchmarkCrossSectionCached' -benchtime=1x .
+    go test -run '^$' -bench 'BenchmarkTableIParallel|BenchmarkCrossSectionCached|BenchmarkSearch' -benchtime=1x .
 }
 step bench-smoke bench_smoke
 
