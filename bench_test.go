@@ -550,7 +550,9 @@ func BenchmarkLUSolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := linalg.Solve(a, rhs); err != nil {
+		// Solve factors its matrix in place: clone so every iteration
+		// times one copy, one factorization and one solve of the same A.
+		if _, err := linalg.Solve(a.Clone(), rhs); err != nil {
 			b.Fatal(err)
 		}
 	}

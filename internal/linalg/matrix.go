@@ -135,14 +135,20 @@ func (f *LU) Refactor(a *Matrix) error {
 	if a.rows != a.cols {
 		return fmt.Errorf("%w: LU of %dx%d", ErrShape, a.rows, a.cols)
 	}
-	n := a.rows
-	if f.lu == nil || f.lu.rows != n {
+	if f.lu == nil || f.lu.rows != a.rows {
 		f.lu = a.Clone()
-		f.piv = make([]int, n)
+		f.piv = make([]int, a.rows)
 	} else {
 		copy(f.lu.data, a.data)
 	}
+	return f.factor()
+}
+
+// factor overwrites f.lu, a square matrix, with its LU factors and
+// fills f.piv and f.sign.
+func (f *LU) factor() error {
 	lu, piv := f.lu, f.piv
+	n := lu.rows
 	for i := range piv {
 		piv[i] = i
 	}
@@ -240,17 +246,22 @@ func (f *LU) Det() float64 {
 	return d
 }
 
-// Solve solves the square system A·x = b in one call.
+// Solve solves the square system A·x = b in one call. It factors a in
+// place, without copying it: afterwards a holds the LU factors (or, after
+// an error, a partial elimination), not A.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factorize(a)
-	if err != nil {
+	if a.rows != a.cols {
+		return nil, fmt.Errorf("%w: LU of %dx%d", ErrShape, a.rows, a.cols)
+	}
+	f := &LU{lu: a, piv: make([]int, a.rows)}
+	if err := f.factor(); err != nil {
 		return nil, err
 	}
 	return f.Solve(b)
 }
 
 // Residual returns the max-norm of A·x − b, a cheap a-posteriori check
-// used by the network solver's self-verification.
+// the tests run on solutions.
 func Residual(a *Matrix, x, b []float64) (float64, error) {
 	ax, err := a.MulVec(x)
 	if err != nil {

@@ -1,14 +1,15 @@
 // Package netlist models a microfluidic channel network as a lumped
-// resistive circuit and solves it with nodal analysis.
+// resistive circuit and solves it with modified nodal analysis.
 //
 // Channels obey the Hagen–Poiseuille relation ΔP = R·Q (the paper's
-// Eq. 7); pumps are ideal flow sources. Solving the network enforces
-// Kirchhoff's current law at every node (Eq. 5 is the designer's
-// hand-derived instance of it) and, by construction of nodal analysis,
-// Kirchhoff's voltage law around every cycle. The designer uses this
-// package to double-check its closed-form flow assignment; the
-// CFD-substitute validator uses it to compute what the *generated
-// geometry* actually does.
+// Eq. 7); pumps are ideal flow sources or ideal pressure sources.
+// Solving the network enforces Kirchhoff's current law at every node
+// (Eq. 5 is the designer's hand-derived instance of it) and, by
+// construction of nodal analysis, Kirchhoff's voltage law around every
+// cycle. The CFD-substitute validator in internal/sim uses it to
+// compute what the *generated geometry* actually does, under flow- or
+// pressure-controlled pumps; the transient tier in internal/dyn builds
+// its state matrix from the same network and conductance stamp.
 package netlist
 
 import (
@@ -136,31 +137,51 @@ func (n *Network) checkNode(id NodeID) error {
 // state (fluid would accumulate).
 var ErrUnbalanced = errors.New("netlist: external sources unbalanced within a component")
 
-// Solution holds the nodal-analysis result.
+// Solution holds the modified-nodal-analysis result.
 type Solution struct {
 	net       *Network
 	pressures []float64
 	flows     []float64
+	srcFlows  []float64 // one per pressure source, in AddPressureSource order
 }
 
-// Solve computes steady-state node pressures and channel flows.
-// One node per connected component is grounded at pressure 0.
+// Solve computes steady-state node pressures, channel flows and
+// pressure-source flows by modified nodal analysis: the unknowns are
+// the node pressures followed by one flow per pressure source. A
+// component tied to External by a pressure source takes that source as
+// its pressure reference and may exchange any net flow through it;
+// every other component has its lowest-index node grounded at
+// pressure 0 and must balance its flow sources.
 func (n *Network) Solve() (*Solution, error) {
 	nn := len(n.nodeNames)
 	if nn == 0 {
 		return nil, errors.New("netlist: empty network")
 	}
-	comp := n.components(false)
-	if err := n.checkBalance(comp, nil); err != nil {
+	size := nn + len(n.psources)
+
+	comp := n.components()
+	// extRef is indexed by component root.
+	extRef := make([]bool, nn)
+	for _, ps := range n.psources {
+		if ps.From == External && ps.To != External {
+			extRef[comp[ps.To]] = true
+		}
+		if ps.To == External && ps.From != External {
+			extRef[comp[ps.From]] = true
+		}
+	}
+	if err := n.checkBalance(comp, extRef); err != nil {
 		return nil, err
 	}
 
-	// Assemble the conductance matrix G·P = I.
-	g, err := linalg.NewMatrix(nn, nn)
+	// Assemble G·x = rhs: the conductance stamps and flow sources in
+	// the KCL rows, then one column and one constraint row per
+	// pressure source.
+	g, err := linalg.NewMatrix(size, size)
 	if err != nil {
-		return nil, fmt.Errorf("netlist: assembling %d-node system: %w", nn, err)
+		return nil, fmt.Errorf("netlist: assembling %d-unknown system: %w", size, err)
 	}
-	rhs := make([]float64, nn)
+	rhs := make([]float64, size)
 	n.StampConductance(g)
 	for _, s := range n.sources {
 		if s.From != External {
@@ -170,41 +191,55 @@ func (n *Network) Solve() (*Solution, error) {
 			rhs[s.To] += float64(s.Flow)
 		}
 	}
+	for k, ps := range n.psources {
+		col := nn + k
+		// KCL rows sum node OUTflows: the source takes +x out of From
+		// and delivers −x out of To. The constraint row enforces
+		// P_to − P_from = Rise.
+		if ps.From != External {
+			g.Add(int(ps.From), col, 1)
+			g.Add(col, int(ps.From), -1)
+		}
+		if ps.To != External {
+			g.Add(int(ps.To), col, -1)
+			g.Add(col, int(ps.To), 1)
+		}
+		rhs[col] = float64(ps.Rise)
+	}
 
-	// Ground the lowest-index node of each component: overwrite its KCL
-	// row with P = 0.
+	// Ground the lowest-index node of each component without an
+	// External reference: overwrite its KCL row with P = 0.
 	grounded := make([]bool, nn)
 	for i := 0; i < nn; i++ {
 		c := comp[i]
-		if grounded[c] {
+		if grounded[c] || extRef[c] {
 			continue
 		}
 		grounded[c] = true
-		for j := 0; j < nn; j++ {
+		for j := 0; j < size; j++ {
 			g.Set(i, j, 0)
 		}
 		g.Set(i, i, 1)
 		rhs[i] = 0
 	}
 
-	p, err := linalg.Solve(g, rhs)
+	x, err := linalg.Solve(g, rhs)
 	if err != nil {
 		return nil, fmt.Errorf("netlist: %w", err)
 	}
 	flows := make([]float64, len(n.channels))
 	for i, ch := range n.channels {
-		flows[i] = (p[ch.From] - p[ch.To]) / float64(ch.Resistance)
+		flows[i] = (x[ch.From] - x[ch.To]) / float64(ch.Resistance)
 	}
-	return &Solution{net: n, pressures: p, flows: flows}, nil
+	return &Solution{net: n, pressures: x[:nn], flows: flows, srcFlows: x[nn:]}, nil
 }
 
 // StampConductance adds every channel's conductance stamp to m, in
 // channel order: +1/R on the two endpoint diagonals and −1/R on the two
 // off-diagonals, which builds the nodal Laplacian G in the top-left
 // NumNodes×NumNodes block. m must be at least that large. Every solver
-// that needs G — steady nodal analysis, modified nodal analysis and
-// the transient stepper — stamps it here, so all of them see the same
-// bits.
+// that needs G — the steady solve and the transient stepper — stamps it
+// here, so both see the same bits.
 func (n *Network) StampConductance(m *linalg.Matrix) {
 	for _, ch := range n.channels {
 		cond := 1 / float64(ch.Resistance)
@@ -217,9 +252,8 @@ func (n *Network) StampConductance(m *linalg.Matrix) {
 }
 
 // components labels each node with the root of its connected
-// component: channels and internal flow sources connect, and so do
-// internal pressure sources when withPressure is set.
-func (n *Network) components(withPressure bool) []int {
+// component: channels and internal flow and pressure sources connect.
+func (n *Network) components() []int {
 	parent := make([]int, len(n.nodeNames))
 	for i := range parent {
 		parent[i] = i
@@ -240,11 +274,9 @@ func (n *Network) components(withPressure bool) []int {
 			union(int(s.From), int(s.To))
 		}
 	}
-	if withPressure {
-		for _, ps := range n.psources {
-			if ps.From != External && ps.To != External {
-				union(int(ps.From), int(ps.To))
-			}
+	for _, ps := range n.psources {
+		if ps.From != External && ps.To != External {
+			union(int(ps.From), int(ps.To))
 		}
 	}
 	// find never moves a root, so each node can point straight at its
@@ -258,7 +290,7 @@ func (n *Network) components(withPressure bool) []int {
 // checkBalance sums the external flow sources of each component of
 // comp, indexed by component root, and reports the lowest root whose
 // sum is not zero to within rounding of the largest source flow.
-// Components that exempt marks are skipped (nil exempts none).
+// Components that exempt marks are skipped.
 func (n *Network) checkBalance(comp []int, exempt []bool) error {
 	balance := make([]float64, len(comp))
 	var scale float64
@@ -277,7 +309,7 @@ func (n *Network) checkBalance(comp []int, exempt []bool) error {
 		scale = 1
 	}
 	for c, b := range balance {
-		if (exempt == nil || !exempt[c]) && math.Abs(b) > 1e-9*scale {
+		if !exempt[c] && math.Abs(b) > 1e-9*scale {
 			return fmt.Errorf("%w: component %d accumulates %g m³/s", ErrUnbalanced, c, b)
 		}
 	}
@@ -301,9 +333,16 @@ func (s *Solution) PressureDrop(id ChannelID) units.Pressure {
 	return units.Pressure(s.pressures[ch.From] - s.pressures[ch.To])
 }
 
+// SourceFlow returns the flow delivered by pressure source k (in
+// AddPressureSource order), positive From → To.
+func (s *Solution) SourceFlow(k int) units.FlowRate {
+	return units.FlowRate(s.srcFlows[k])
+}
+
 // MaxKCLResidual returns the largest node imbalance
-// |Σ inflow − Σ outflow| over all nodes — a solver self-check that
-// should be at rounding level.
+// |Σ inflow − Σ outflow| over all nodes, counting channel, flow-source
+// and pressure-source flows — a solver self-check that should be at
+// rounding level.
 func (s *Solution) MaxKCLResidual() units.FlowRate {
 	res := make([]float64, len(s.net.nodeNames))
 	for i, ch := range s.net.channels {
@@ -316,6 +355,14 @@ func (s *Solution) MaxKCLResidual() units.FlowRate {
 		}
 		if src.To != External {
 			res[src.To] += float64(src.Flow)
+		}
+	}
+	for k, ps := range s.net.psources {
+		if ps.From != External {
+			res[ps.From] -= s.srcFlows[k]
+		}
+		if ps.To != External {
+			res[ps.To] += s.srcFlows[k]
 		}
 	}
 	var mx float64

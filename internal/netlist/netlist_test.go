@@ -281,8 +281,8 @@ func TestDissipationMatchesPumpPower(t *testing.T) {
 
 // TestStampConductance checks the shared Laplacian stamp: symmetric,
 // zero row sums, the summed conductances on the diagonal, and nothing
-// outside the node block — the MNA solve stamps G into a larger matrix
-// whose extra rows and columns belong to the pressure sources.
+// outside the node block — Solve stamps G into a larger matrix whose
+// extra rows and columns belong to the pressure sources.
 func TestStampConductance(t *testing.T) {
 	n := New()
 	a, b, c := n.AddNode("a"), n.AddNode("b"), n.AddNode("c")

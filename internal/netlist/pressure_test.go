@@ -2,9 +2,9 @@ package netlist
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
-	"ooc/internal/testutil"
 	"ooc/internal/units"
 )
 
@@ -17,7 +17,7 @@ func TestPressureSourceSingleChannel(t *testing.T) {
 	if err := n.AddPressureSource("pump", b, a, units.Pascals(1000)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := n.SolveMNA()
+	s, err := n.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestPressureSourceToExternal(t *testing.T) {
 	if err := n.AddPressureSource("out", b, External, units.Pascals(0)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := n.SolveMNA()
+	s, err := n.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestMNAMatchesFlowSourceSolve(t *testing.T) {
 	if err := n2.AddPressureSource("pump", c2, a2, units.Pascals(rise)); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := n2.SolveMNA()
+	s2, err := n2.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestMNAWithMixedSources(t *testing.T) {
 	if err := n.AddPressureSource("out", b, External, units.Pascals(0)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := n.SolveMNA()
+	s, err := n.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,24 +160,157 @@ func TestPressureSourceValidation(t *testing.T) {
 	}
 }
 
-func TestSolveMNAWithoutPressureSources(t *testing.T) {
-	// SolveMNA must coincide with Solve on pure flow-source networks.
-	n := New()
-	a := n.AddNode("a")
-	b := n.AddNode("b")
-	c := mustChannel(t, n, "ab", a, b, 1e12)
-	if err := n.AddSource("p", b, a, units.CubicMetresPerSecond(2e-9)); err != nil {
-		t.Fatal(err)
-	}
-	s1, err := n.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := n.SolveMNA()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !testutil.ApproxEqual(float64(s1.Flow(c)), float64(s2.Flow(c)), 1e-18) {
-		t.Fatalf("Solve %v vs SolveMNA %v", s1.Flow(c), s2.Flow(c))
+// TestFlowPressureDualityRandomNetworks generalizes
+// TestMNAMatchesFlowSourceSolve to seeded random connected networks: a
+// random spanning tree plus extra channels, resistances spread over two
+// decades, and balanced flow sources on pairwise distinct nodes, some of
+// them to or from External. Each network is solved, then rebuilt with
+// every flow source replaced by a pressure source holding the solved
+// rise P(To) − P(From), External counting as the ground pressure 0. The
+// rebuilt network must reproduce every channel flow, each pressure
+// source must deliver the flow of the source it replaced, and both
+// solutions must satisfy KCL to rounding.
+func TestFlowPressureDualityRandomNetworks(t *testing.T) {
+	const (
+		maxNodes = 16
+		// Flow tolerances are fractions of qScale, the flow that the
+		// solved pressure spread drives through the smallest resistance,
+		// which bounds every channel and source flow.
+		//
+		// A network has n ≤ 26 unknowns (16 nodes, 10 sources), so each
+		// solved pressure is within ≈ n·ε of the spread and a flow ΔP/R
+		// within 2·26·2.2e-16 ≈ 1.1e-14 of qScale; ×10 for pivot growth.
+		// The pressure check uses the same fraction of the spread.
+		dualTol = 1e-13
+		// A node's KCL sum adds ≤ 33 such flows (degree ≤ 15 + 16
+		// channels, one source): 33 × 1e-13 ≈ 3.3e-12.
+		kclTol = 4e-12
+	)
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 300; trial++ {
+		nn := 3 + rng.Intn(maxNodes-2)
+		// v is a channel's resistance or a source's flow.
+		type edge struct {
+			from, to NodeID
+			v        float64
+		}
+		var chans []edge
+		res := func() float64 { return 1e12 * math.Pow(10, 2*rng.Float64()) }
+		for i := 1; i < nn; i++ {
+			chans = append(chans, edge{NodeID(rng.Intn(i)), NodeID(i), res()})
+		}
+		for k := rng.Intn(nn + 1); k > 0; k-- {
+			if a, b := rng.Intn(nn), rng.Intn(nn); a != b {
+				chans = append(chans, edge{NodeID(a), NodeID(b), res()})
+			}
+		}
+		// Flow sources take pairwise distinct nodes, so the pressure
+		// sources that replace them form no loop and their constraint
+		// rows stay independent. Internal sources come first, then none
+		// or two or more to or from External, the last balancing the
+		// others; a network gets at least one source.
+		perm := rng.Perm(nn)
+		var srcs []edge
+		flow := func() float64 { return 1e-10 * math.Pow(10, 2*rng.Float64()) }
+		for len(perm) >= 2 && rng.Intn(3) > 0 {
+			srcs = append(srcs, edge{NodeID(perm[0]), NodeID(perm[1]), flow()})
+			perm = perm[2:]
+		}
+		ext := rng.Intn(min(len(perm), 4) + 1)
+		if len(srcs) == 0 {
+			ext = max(ext, 2)
+		}
+		if ext >= 2 {
+			var in float64 // net External inflow of the sources so far
+			for _, node := range perm[:ext-1] {
+				q := flow()
+				if rng.Intn(2) == 0 {
+					srcs = append(srcs, edge{External, NodeID(node), q})
+					in += q
+				} else {
+					srcs = append(srcs, edge{NodeID(node), External, q})
+					in -= q
+				}
+			}
+			if last := NodeID(perm[ext-1]); in > 0 {
+				srcs = append(srcs, edge{last, External, in})
+			} else {
+				srcs = append(srcs, edge{External, last, -in})
+			}
+		}
+
+		build := func() (*Network, []ChannelID) {
+			n := New()
+			for i := 0; i < nn; i++ {
+				n.AddNode("n")
+			}
+			ids := make([]ChannelID, len(chans))
+			for i, c := range chans {
+				ids[i] = mustChannel(t, n, "c", c.from, c.to, c.v)
+			}
+			return n, ids
+		}
+		n1, ids1 := build()
+		for _, s := range srcs {
+			if err := n1.AddSource("q", s.from, s.to, units.FlowRate(s.v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s1, err := n1.Solve()
+		if err != nil {
+			t.Fatalf("trial %d: flow-driven solve: %v", trial, err)
+		}
+		pressure := func(id NodeID) float64 {
+			if id == External {
+				return 0
+			}
+			return s1.Pressure(id).Pascals()
+		}
+		n2, ids2 := build()
+		for _, s := range srcs {
+			if err := n2.AddPressureSource("p", s.from, s.to, units.Pressure(pressure(s.to)-pressure(s.from))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s2, err := n2.Solve()
+		if err != nil {
+			t.Fatalf("trial %d: pressure-driven solve: %v", trial, err)
+		}
+
+		pLo, pHi, rMin := 0.0, 0.0, math.Inf(1)
+		for i := 0; i < nn; i++ {
+			pLo = math.Min(pLo, pressure(NodeID(i)))
+			pHi = math.Max(pHi, pressure(NodeID(i)))
+		}
+		for _, c := range chans {
+			rMin = math.Min(rMin, c.v)
+		}
+		qScale := (pHi - pLo) / rMin
+
+		// The rises reproduce the flow-driven pressures against External,
+		// and a network without External sources grounds node 0 in both
+		// solves, so the pressures themselves agree too.
+		for i := 0; i < nn; i++ {
+			if p1, p2 := pressure(NodeID(i)), s2.Pressure(NodeID(i)).Pascals(); math.Abs(p1-p2) > dualTol*(pHi-pLo) {
+				t.Fatalf("trial %d: node %d: flow-driven %g Pa vs pressure-driven %g Pa", trial, i, p1, p2)
+			}
+		}
+		for i := range chans {
+			f1, f2 := s1.Flow(ids1[i]).CubicMetresPerSecond(), s2.Flow(ids2[i]).CubicMetresPerSecond()
+			if math.Abs(f1-f2) > dualTol*qScale {
+				t.Fatalf("trial %d: channel %d: flow-driven %g vs pressure-driven %g (scale %g)", trial, i, f1, f2, qScale)
+			}
+		}
+		for k, s := range srcs {
+			if got := s2.SourceFlow(k).CubicMetresPerSecond(); math.Abs(got-s.v) > dualTol*qScale {
+				t.Fatalf("trial %d: pressure source %d delivers %g, replaced flow source %g (scale %g)", trial, k, got, s.v, qScale)
+			}
+		}
+		if r := s1.MaxKCLResidual().CubicMetresPerSecond(); r > kclTol*qScale {
+			t.Fatalf("trial %d: flow-driven KCL residual %g (scale %g)", trial, r, qScale)
+		}
+		if r := s2.MaxKCLResidual().CubicMetresPerSecond(); r > kclTol*qScale {
+			t.Fatalf("trial %d: pressure-driven KCL residual %g (scale %g)", trial, r, qScale)
+		}
 	}
 }

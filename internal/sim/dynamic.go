@@ -205,7 +205,7 @@ func ValidateDynamicContext(ctx context.Context, d *core.Design, opt Options) (*
 		return nil, fmt.Errorf("sim: dynamic validation aborted: %w", err)
 	}
 
-	rep, err := buildReport(d, m.b, res, res.MaxKCLResidual())
+	rep, err := buildReport(d, m.b, res)
 	if err != nil {
 		return nil, err
 	}

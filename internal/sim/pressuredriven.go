@@ -40,14 +40,8 @@ func DesignPumpPressuresContext(ctx context.Context, d *core.Design) (PumpPressu
 	if err != nil {
 		return PumpPressures{}, err
 	}
-	if err := b.net.AddSource("pump-inlet", netlist.External, b.node("inlet"), d.Pumps.Inlet); err != nil {
-		return PumpPressures{}, fmt.Errorf("sim: %w", err)
-	}
-	if err := b.net.AddSource("pump-outlet", b.node("outlet"), netlist.External, d.Pumps.Outlet); err != nil {
-		return PumpPressures{}, fmt.Errorf("sim: %w", err)
-	}
-	if err := b.net.AddSource("pump-recirculation", b.node("outlet"), b.node("cin"), d.Pumps.Recirculation); err != nil {
-		return PumpPressures{}, fmt.Errorf("sim: %w", err)
+	if err := attachPumps(b, d); err != nil {
+		return PumpPressures{}, err
 	}
 	sol, err := b.net.Solve()
 	if err != nil {
@@ -95,9 +89,9 @@ func ValidatePressureDrivenContext(ctx context.Context, d *core.Design, opt Opti
 	if err := b.net.AddPressureSource("pump-recirculation", b.node("outlet"), b.node("cin"), set.Recirculation); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	sol, err := b.net.SolveMNA()
+	sol, err := b.net.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return buildReport(d, b, sol, sol.MaxKCLResidual())
+	return buildReport(d, b, sol)
 }

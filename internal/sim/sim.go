@@ -431,15 +431,17 @@ func attachPumps(b *builtNetwork, d *core.Design) error {
 	return nil
 }
 
-// flowSolution abstracts the two solver result types.
+// flowSolution abstracts the two solver result types: the steady
+// netlist.Solution and the final state of a transient dyn.Result.
 type flowSolution interface {
 	Flow(netlist.ChannelID) units.FlowRate
 	Pressure(netlist.NodeID) units.Pressure
+	MaxKCLResidual() units.FlowRate
 }
 
-// buildReport extracts the module flow/perfusion deviations from a
-// solved network.
-func buildReport(d *core.Design, b *builtNetwork, sol flowSolution, kclResidual units.FlowRate) (*Report, error) {
+// buildReport extracts the module flow/perfusion deviations and the KCL
+// residual from a solved network.
+func buildReport(d *core.Design, b *builtNetwork, sol flowSolution) (*Report, error) {
 	flowOf := func(kind core.ChannelKind, index int) (units.FlowRate, bool) {
 		for i := range d.Channels {
 			if d.Channels[i].Kind == kind && d.Channels[i].Index == index {
@@ -449,7 +451,7 @@ func buildReport(d *core.Design, b *builtNetwork, sol flowSolution, kclResidual 
 		return 0, false
 	}
 
-	rep := &Report{Design: d, KCLResidual: kclResidual}
+	rep := &Report{Design: d, KCLResidual: sol.MaxKCLResidual()}
 	modCS := d.Resolved.ModuleCrossSection()
 	mu := d.Resolved.Spec.Fluid.Viscosity
 	n := len(d.Modules)
@@ -528,5 +530,5 @@ func ValidateContext(ctx context.Context, d *core.Design, opt Options) (*Report,
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return buildReport(d, b, sol, sol.MaxKCLResidual())
+	return buildReport(d, b, sol)
 }
