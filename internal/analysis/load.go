@@ -7,6 +7,14 @@
 // module-aware types.Importer. Standard-library imports are resolved
 // from source via go/importer, so the loader works without compiled
 // export data.
+//
+// Like `go vet`, the loader type-checks a package with in-package
+// _test.go files twice: an importer sees only the non-test files, as
+// `go build` compiles them, and the analyzers see the package with its
+// tests. So package a's tests may import b while b's tests import a.
+// An external test package imports the non-test variant of its own
+// package too, so it cannot use identifiers that only the in-package
+// test files declare.
 package analysis
 
 import (
@@ -79,8 +87,9 @@ func LoadTree(root, modPath string) (*Module, error) {
 	}
 	ld := &loader{
 		mod:   &Module{Root: abs, Path: modPath, Fset: token.NewFileSet()},
-		units: make(map[string]*Package),
+		libs:  make(map[string]*Package),
 		state: make(map[string]int),
+		files: make(map[string][]parsed),
 	}
 	ld.std = importer.ForCompiler(ld.mod.Fset, "source", nil)
 	dirs, err := goDirs(abs)
@@ -165,8 +174,9 @@ const (
 type loader struct {
 	mod   *Module
 	std   types.Importer
-	units map[string]*Package // import path → primary unit
-	state map[string]int      // import path → load state (cycle guard)
+	libs  map[string]*Package // import path → non-test unit, as importers see it
+	state map[string]int      // import path → load state of libs (cycle guard)
+	files map[string][]parsed // directory → its parsed files
 }
 
 // importPath maps a directory under the module root to its import path.
@@ -196,16 +206,16 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 	if !ok {
 		return ld.std.Import(path)
 	}
-	if pkg, ok := ld.units[path]; ok {
+	if pkg, ok := ld.libs[path]; ok {
 		return pkg.Types, nil
 	}
 	if ld.state[path] == stateLoading {
 		return nil, fmt.Errorf("import cycle through %q", path)
 	}
-	if err := ld.loadPrimary(dir); err != nil {
+	if err := ld.loadLib(dir); err != nil {
 		return nil, err
 	}
-	pkg, ok := ld.units[path]
+	pkg, ok := ld.libs[path]
 	if !ok {
 		return nil, fmt.Errorf("no Go package in %q", path)
 	}
@@ -219,7 +229,12 @@ type parsed struct {
 	path string
 }
 
+// parseDir parses the .go files of dir once; later calls return the
+// same files.
 func (ld *loader) parseDir(dir string) ([]parsed, error) {
+	if out, ok := ld.files[dir]; ok {
+		return out, nil
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -236,21 +251,53 @@ func (ld *loader) parseDir(dir string) ([]parsed, error) {
 		}
 		out = append(out, parsed{name: f.Name.Name, file: f, path: fname})
 	}
+	ld.files[dir] = out
 	return out, nil
 }
 
-// loadDir loads the primary unit and, if present, the external _test
-// unit of one directory.
+// loadDir records the units of one directory for analysis: its package
+// with the in-package test files, and its external _test package.
 func (ld *loader) loadDir(dir string) error {
-	if err := ld.loadPrimary(dir); err != nil {
+	if err := ld.loadLib(dir); err != nil {
 		return err
 	}
-	return ld.loadExternalTest(dir)
+	files, err := ld.parseDir(dir)
+	if err != nil {
+		return err
+	}
+	primary := primaryName(files)
+	var unit, external []parsed
+	for _, p := range files {
+		switch {
+		case p.name == primary:
+			unit = append(unit, p)
+		case strings.HasSuffix(p.name, "_test") && (primary == "" || p.name == primary+"_test"):
+			external = append(external, p)
+		}
+	}
+	path := ld.importPath(dir)
+	if len(unit) > 0 {
+		pkg := ld.libs[path]
+		if pkg == nil || len(pkg.Files) < len(unit) {
+			if pkg, err = ld.check(path, primary, dir, unit, false); err != nil {
+				return err
+			}
+		}
+		ld.mod.Pkgs = append(ld.mod.Pkgs, pkg)
+	}
+	if len(external) > 0 {
+		pkg, err := ld.check(path+".test", external[0].name, dir, external, true)
+		if err != nil {
+			return err
+		}
+		ld.mod.Pkgs = append(ld.mod.Pkgs, pkg)
+	}
+	return nil
 }
 
-// loadPrimary type-checks the non-_test package of dir (with its
-// in-package test files) and records it as an importable unit.
-func (ld *loader) loadPrimary(dir string) error {
+// loadLib type-checks the non-test files of dir's package and records
+// the result as the unit Import returns for its path.
+func (ld *loader) loadLib(dir string) error {
 	path := ld.importPath(dir)
 	if ld.state[path] == stateLoaded {
 		return nil
@@ -260,49 +307,23 @@ func (ld *loader) loadPrimary(dir string) error {
 		return err
 	}
 	primary := primaryName(files)
-	if primary == "" {
+	var lib []parsed
+	for _, p := range files {
+		if p.name == primary && !strings.HasSuffix(p.path, "_test.go") {
+			lib = append(lib, p)
+		}
+	}
+	if len(lib) == 0 {
 		ld.state[path] = stateLoaded
 		return nil
 	}
-	var unit []parsed
-	for _, p := range files {
-		if p.name == primary {
-			unit = append(unit, p)
-		}
-	}
 	ld.state[path] = stateLoading
-	pkg, err := ld.check(path, primary, dir, unit, false)
+	pkg, err := ld.check(path, primary, dir, lib, false)
 	ld.state[path] = stateLoaded
 	if err != nil {
 		return err
 	}
-	ld.units[path] = pkg
-	ld.mod.Pkgs = append(ld.mod.Pkgs, pkg)
-	return nil
-}
-
-// loadExternalTest type-checks the foo_test package of dir, if any.
-func (ld *loader) loadExternalTest(dir string) error {
-	files, err := ld.parseDir(dir)
-	if err != nil {
-		return err
-	}
-	primary := primaryName(files)
-	var unit []parsed
-	for _, p := range files {
-		if strings.HasSuffix(p.name, "_test") && (primary == "" || p.name == primary+"_test") {
-			unit = append(unit, p)
-		}
-	}
-	if len(unit) == 0 {
-		return nil
-	}
-	path := ld.importPath(dir) + ".test"
-	pkg, err := ld.check(path, unit[0].name, dir, unit, true)
-	if err != nil {
-		return err
-	}
-	ld.mod.Pkgs = append(ld.mod.Pkgs, pkg)
+	ld.libs[path] = pkg
 	return nil
 }
 

@@ -44,10 +44,12 @@ func runZeroSentinel(pass *Pass) {
 
 // defaultConstructors finds every `DefaultT() T` constructor in the
 // module: a niladic function named Default<TypeName> returning exactly
-// that named type from the same package. The map value is the
-// qualified constructor name for messages.
-func defaultConstructors(mod *Module) map[*types.Named]string {
-	out := make(map[*types.Named]string)
+// that named type from the same package. The map is keyed by typeKey,
+// because a package with in-package tests is type-checked twice and its
+// importers see the other *types.Named; the value is the qualified
+// constructor name for messages.
+func defaultConstructors(mod *Module) map[string]string {
+	out := make(map[string]string)
 	for _, pkg := range mod.Pkgs {
 		if pkg.Test {
 			continue
@@ -74,15 +76,25 @@ func defaultConstructors(mod *Module) map[*types.Named]string {
 			if obj.Pkg() != pkg.Types || obj.Name() != strings.TrimPrefix(name, "Default") {
 				continue
 			}
-			out[named] = pkg.Name + "." + name
+			out[typeKey(named)] = pkg.Name + "." + name
 		}
 	}
 	return out
 }
 
+// typeKey names a package-level named type by import path and name,
+// and returns "" for any other named type.
+func typeKey(named *types.Named) string {
+	obj := named.Obj()
+	if obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
+		return ""
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
 // checkZeroLiterals flags empty composite literals of types that have
 // a Default constructor, outside the constructor itself.
-func checkZeroLiterals(pass *Pass, f *ast.File, defaults map[*types.Named]string) {
+func checkZeroLiterals(pass *Pass, f *ast.File, defaults map[string]string) {
 	info := pass.Pkg.Info
 	ast.Inspect(f, func(n ast.Node) bool {
 		fn, ok := n.(*ast.FuncDecl)
@@ -102,7 +114,7 @@ func checkZeroLiterals(pass *Pass, f *ast.File, defaults map[*types.Named]string
 			if !ok {
 				return true
 			}
-			ctor, isDefault := defaults[named]
+			ctor, isDefault := defaults[typeKey(named)]
 			if !isDefault {
 				return true
 			}
@@ -121,7 +133,7 @@ func checkZeroLiterals(pass *Pass, f *ast.File, defaults map[*types.Named]string
 
 // checkZeroProbes flags `x.Field == 0` sentinel probes on fields of
 // Default-constructed types.
-func checkZeroProbes(pass *Pass, f *ast.File, defaults map[*types.Named]string) {
+func checkZeroProbes(pass *Pass, f *ast.File, defaults map[string]string) {
 	info := pass.Pkg.Info
 	ast.Inspect(f, func(n ast.Node) bool {
 		bin, ok := n.(*ast.BinaryExpr)
@@ -146,7 +158,7 @@ func checkZeroProbes(pass *Pass, f *ast.File, defaults map[*types.Named]string) 
 		if !ok {
 			return true
 		}
-		ctor, isDefault := defaults[named]
+		ctor, isDefault := defaults[typeKey(named)]
 		if !isDefault {
 			return true
 		}
