@@ -101,10 +101,12 @@ examples_smoke() {
 step examples-smoke examples_smoke
 
 # Smoke-run the headline benchmarks once (-benchtime=1x): catches
-# bit-rot in the parallel evaluation path, the cross-section cache and
-# both search strategies without paying for a full measurement run.
+# bit-rot in the parallel evaluation path, the cross-section cache,
+# both search strategies, the steady network solve under flow-driven
+# and pressure-driven pumps, and the one-shot dense LU without paying
+# for a full measurement run.
 bench_smoke() {
-    go test -run '^$' -bench 'BenchmarkTableIParallel|BenchmarkCrossSectionCached|BenchmarkSearch' -benchtime=1x .
+    go test -run '^$' -bench 'BenchmarkTableIParallel|BenchmarkCrossSectionCached|BenchmarkSearch|BenchmarkNodalSolve|BenchmarkAblationPumpMode|BenchmarkLUSolve' -benchtime=1x .
 }
 step bench-smoke bench_smoke
 
