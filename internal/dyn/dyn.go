@@ -250,11 +250,16 @@ type System struct {
 // Compile flattens a solved-topology network into a transient system.
 // nodeCap gives each node's hydraulic capacitance [m³/Pa]; props gives
 // each channel's volume and cell count; profiles gives each flow
-// source's drive shape, indexed in netlist source order.
+// source's drive shape, indexed in netlist source order. The system is
+// driven by flow sources only, so a network with a pressure source is
+// an error.
 func Compile(net *netlist.Network, nodeCap []float64, props []ChannelProps, profiles []Profile, sp Species) (*System, error) {
 	nn, nc, ns := net.NumNodes(), net.NumChannels(), net.NumSources()
 	if nn == 0 {
 		return nil, fmt.Errorf("dyn: empty network")
+	}
+	if net.NumPressureSources() > 0 {
+		return nil, fmt.Errorf("dyn: pressure source %q: the transient model drives flow sources only", net.PressureSource(0).Name)
 	}
 	if len(nodeCap) != nn {
 		return nil, fmt.Errorf("dyn: %d node capacitances for %d nodes", len(nodeCap), nn)

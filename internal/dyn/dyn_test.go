@@ -427,6 +427,22 @@ func TestCompileErrors(t *testing.T) {
 			t.Error("want error for out-of-range arrival threshold")
 		}
 	})
+	t.Run("pressure source", func(t *testing.T) {
+		// Solve gives this channel ΔP/R = 5e-10 m³/s; a system that
+		// dropped the source would run it at zero flow.
+		pnet := netlist.New()
+		a, b := pnet.AddNode("a"), pnet.AddNode("b")
+		if _, err := pnet.AddChannel("ab", a, b, units.PaSecondsPerCubicMetre(2e12)); err != nil {
+			t.Fatal(err)
+		}
+		if err := pnet.AddPressureSource("pump", b, a, units.Pascals(1000)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Compile(pnet, uniform(2, 0.01), uniformProps(1, 0.5, 4), nil, Species{})
+		if err == nil || !strings.Contains(err.Error(), `"pump"`) {
+			t.Errorf("got %v, want an error naming pressure source \"pump\"", err)
+		}
+	})
 	t.Run("species probe without species", func(t *testing.T) {
 		caps, props, prof, _ := good()
 		sys, err := Compile(net, caps, props, prof, Species{})

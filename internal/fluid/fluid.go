@@ -33,13 +33,16 @@ var (
 	MediumHighViscosity = Fluid{Name: "medium-high", Viscosity: physio.MediumViscosityHigh, Density: physio.MediumDensityHigh}
 )
 
-// Validate reports whether the fluid parameters are physical.
+// Validate reports whether the fluid's viscosity and density lie in
+// physio's medium windows.
 func (f Fluid) Validate() error {
-	if f.Viscosity <= 0 {
-		return fmt.Errorf("fluid %q: non-positive viscosity %g Pa·s", f.Name, float64(f.Viscosity))
+	if !(f.Viscosity >= physio.MinMediumViscosity && f.Viscosity <= physio.MaxMediumViscosity) {
+		return fmt.Errorf("fluid %q: viscosity %g Pa·s outside [%g, %g] Pa·s", f.Name, float64(f.Viscosity),
+			float64(physio.MinMediumViscosity), float64(physio.MaxMediumViscosity))
 	}
-	if f.Density <= 0 {
-		return fmt.Errorf("fluid %q: non-positive density %g kg/m³", f.Name, float64(f.Density))
+	if !(f.Density >= physio.MinMediumDensity && f.Density <= physio.MaxMediumDensity) {
+		return fmt.Errorf("fluid %q: density %g kg/m³ outside [%g, %g] kg/m³", f.Name, float64(f.Density),
+			float64(physio.MinMediumDensity), float64(physio.MaxMediumDensity))
 	}
 	return nil
 }

@@ -40,3 +40,10 @@ func (n *Network) AddPressureSource(name string, from, to NodeID, rise units.Pre
 	n.psources = append(n.psources, PressureSource{Name: name, From: from, To: to, Rise: rise})
 	return nil
 }
+
+// NumPressureSources returns the number of pressure sources.
+func (n *Network) NumPressureSources() int { return len(n.psources) }
+
+// PressureSource returns a copy of the k-th pressure source (in
+// AddPressureSource order).
+func (n *Network) PressureSource(k int) PressureSource { return n.psources[k] }

@@ -36,3 +36,17 @@ const (
 	MinEndothelialShear units.ShearStress = 1.0 // Pa
 	MaxEndothelialShear units.ShearStress = 2.0 // Pa
 )
+
+// Windows for the circulating fluid. The viscosity window runs from
+// 7.2× below the paper's least viscous medium to 90× above its most
+// viscous and covers water from 0 to 100 °C and whole blood; the
+// density window spans a decade either side of water. At every decade
+// inside both windows each use case designs, validates (exact and
+// approx) and runs a transient with finite results; far outside them
+// the network solve becomes singular or the results overflow.
+const (
+	MinMediumViscosity units.Viscosity = 1e-4 // Pa·s
+	MaxMediumViscosity units.Viscosity = 1e-1 // Pa·s
+	MinMediumDensity   units.Density   = 1e2  // kg/m³
+	MaxMediumDensity   units.Density   = 1e4  // kg/m³
+)

@@ -9,6 +9,7 @@ package physio
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -57,6 +58,9 @@ type Reference struct {
 	// throughput.
 	CardiacOutput units.FlowRate
 	organs        map[OrganID]OrganRef
+	// shared marks organs as the table of a standard reference, which
+	// every copy of it reads; SetOrgan clones it before writing.
+	shared bool
 }
 
 // Organ looks up an organ in the reference table.
@@ -89,6 +93,9 @@ func (r *Reference) SetOrgan(o OrganRef) error {
 	}
 	if o.BloodFlow < 0 {
 		return fmt.Errorf("physio: organ %q: negative blood flow", o.ID)
+	}
+	if r.shared {
+		r.organs, r.shared = maps.Clone(r.organs), false
 	}
 	if r.organs == nil {
 		r.organs = make(map[OrganID]OrganRef)
@@ -127,6 +134,7 @@ func (r *Reference) Validate() error {
 }
 
 func mustReference(r Reference, organs []OrganRef) Reference {
+	r.shared = true
 	r.organs = make(map[OrganID]OrganRef, len(organs))
 	for _, o := range organs {
 		r.organs[o.ID] = o
@@ -185,20 +193,13 @@ var standardFemale = mustReference(Reference{
 	{ID: Muscle, Name: "skeletal muscle", Mass: units.Kilograms(20), BloodFlow: mlMin(640)},
 })
 
-// StandardMale returns a copy of the 70 kg standard human male table.
-func StandardMale() Reference { return cloneReference(standardMale) }
+// StandardMale returns the 70 kg standard human male table. Copies
+// share its organ table until SetOrgan changes one of them.
+func StandardMale() Reference { return standardMale }
 
-// StandardFemale returns a copy of the standard human female table.
-func StandardFemale() Reference { return cloneReference(standardFemale) }
-
-func cloneReference(r Reference) Reference {
-	c := r
-	c.organs = make(map[OrganID]OrganRef, len(r.organs))
-	for k, v := range r.organs {
-		c.organs[k] = v
-	}
-	return c
-}
+// StandardFemale returns the standard human female table. Copies share
+// its organ table until SetOrgan changes one of them.
+func StandardFemale() Reference { return standardFemale }
 
 // TissueDensity is the mass density of soft organ tissue used to turn
 // module masses into volumes. The value is back-derived from the

@@ -158,6 +158,26 @@ func TestReferenceCloningIsolation(t *testing.T) {
 	}
 }
 
+// TestReferenceValueCopyIsolation: a value copy of a standard
+// reference shares its organ table, so SetOrgan on the copy must
+// leave the original and the standard table untouched.
+func TestReferenceValueCopyIsolation(t *testing.T) {
+	a := StandardMale()
+	c := a
+	if err := c.SetOrgan(OrganRef{ID: Tumor, Name: "tumor", Mass: units.Grams(20), BloodFlow: units.MillilitresPerMinute(40)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Organ(Tumor); err != nil {
+		t.Fatal("organ not inserted")
+	}
+	fresh := StandardMale()
+	for name, r := range map[string]*Reference{"original": &a, "fresh StandardMale()": &fresh} {
+		if _, err := r.Organ(Tumor); err == nil {
+			t.Errorf("SetOrgan on a value copy leaked into the %s", name)
+		}
+	}
+}
+
 func TestSetOrganValidation(t *testing.T) {
 	ref := StandardMale()
 	if err := ref.SetOrgan(OrganRef{Name: "no id", Mass: 1}); err == nil {

@@ -19,6 +19,7 @@ import (
 	"ooc/internal/render"
 	"ooc/internal/sim"
 	"ooc/internal/specio"
+	"ooc/internal/units"
 	"ooc/internal/usecases"
 )
 
@@ -274,6 +275,72 @@ func TestModuleCountRejected(t *testing.T) {
 	}
 	if list := s.jobs.List(); len(list) != 0 {
 		t.Fatalf("rejected oversized job admitted %d jobs", len(list))
+	}
+}
+
+// TestFluidWindowRejected: a viscosity or density outside physio's
+// medium windows gets a 400 naming the quantity from /v1/design, from
+// /v1/validate at every served model and budget, and from /v1/jobs,
+// before the pipeline runs. Without the windows these bodies end in a
+// 500 (a non-finite document), a 422 (a singular network) or a 200.
+func TestFluidWindowRejected(t *testing.T) {
+	s := New(Config{})
+	var generated atomic.Int64
+	s.generate = func(ctx context.Context, spec core.Spec) (*core.Design, error) {
+		generated.Add(1)
+		return core.GenerateContext(ctx, spec)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	uc, err := usecases.ByName("male_simple")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		viscosity, density float64
+		want               string
+	}{
+		{viscosity: 1e300, want: "viscosity"},
+		{viscosity: 1e-300, want: "viscosity"},
+		{viscosity: 1e-5, density: 1e300, want: "viscosity"},
+		{density: 1e300, want: "density"},
+		{density: 1e-300, want: "density"},
+	} {
+		spec := uc.Build()
+		if c.viscosity != 0 {
+			spec.Fluid.Viscosity = units.PascalSeconds(c.viscosity)
+		}
+		if c.density != 0 {
+			spec.Fluid.Density = units.KilogramsPerCubicMetre(c.density)
+		}
+		body, err := specio.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{
+			"/v1/design", "/v1/validate", "/v1/validate?model=exact", "/v1/validate?model=approx",
+			"/v1/validate?model=dynamic&duration=100ms", "/v1/validate?error_budget=0.01",
+		} {
+			resp, raw := post(t, ts.Client(), ts.URL+path, body, nil)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), c.want+" ") {
+				t.Errorf("µ %g ρ %g %s: status %d, want a 400 naming the %s: %s", c.viscosity, c.density, path, resp.StatusCode, c.want, raw)
+			}
+		}
+		job, err := json.Marshal(map[string]any{"spec": json.RawMessage(body)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, raw := post(t, ts.Client(), ts.URL+"/v1/jobs", job, nil)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), c.want+" ") {
+			t.Errorf("µ %g ρ %g job: status %d, want a 400 naming the %s: %s", c.viscosity, c.density, resp.StatusCode, c.want, raw)
+		}
+	}
+	if n := generated.Load(); n != 0 {
+		t.Errorf("rejected fluids ran the pipeline %d times", n)
+	}
+	if list := s.jobs.List(); len(list) != 0 {
+		t.Errorf("rejected fluids admitted %d jobs", len(list))
 	}
 }
 

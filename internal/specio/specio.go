@@ -88,6 +88,11 @@ func (f File) ToSpec() (core.Spec, error) {
 	if f.DensityKgM3 > 0 {
 		fl.Density = units.KilogramsPerCubicMetre(f.DensityKgM3)
 	}
+	// Refuse a fluid outside physio's windows before any work is done
+	// on it, as for the module count below.
+	if err := fl.Validate(); err != nil {
+		return core.Spec{}, fmt.Errorf("specio: %w", err)
+	}
 	spec.Fluid = fl
 	if f.SpacingM > 0 {
 		spec.Geometry.Spacing = units.Metres(f.SpacingM)

@@ -67,6 +67,7 @@ fuzz_smoke() {
     for _target in \
         ./internal/specio:FuzzCanonicalRoundTrip \
         ./internal/render:FuzzMarshalIndent \
+        ./internal/render:FuzzDesignJSON \
         ./internal/cachesnap:FuzzRead \
         ./internal/analysis:FuzzBaselineRoundTrip \
         ./internal/server:FuzzParseDynamicQuery; do
@@ -103,10 +104,10 @@ step examples-smoke examples_smoke
 # Smoke-run the headline benchmarks once (-benchtime=1x): catches
 # bit-rot in the parallel evaluation path, the cross-section cache,
 # both search strategies, the steady network solve under flow-driven
-# and pressure-driven pumps, and the one-shot dense LU without paying
-# for a full measurement run.
+# and pressure-driven pumps, the one-shot dense LU and the design
+# document writer without paying for a full measurement run.
 bench_smoke() {
-    go test -run '^$' -bench 'BenchmarkTableIParallel|BenchmarkCrossSectionCached|BenchmarkSearch|BenchmarkNodalSolve|BenchmarkAblationPumpMode|BenchmarkLUSolve' -benchtime=1x .
+    go test -run '^$' -bench 'BenchmarkTableIParallel|BenchmarkCrossSectionCached|BenchmarkSearch|BenchmarkNodalSolve|BenchmarkAblationPumpMode|BenchmarkLUSolve|BenchmarkRenderJSON' -benchtime=1x .
 }
 step bench-smoke bench_smoke
 
