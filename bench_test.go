@@ -12,14 +12,18 @@
 //	BenchmarkAblation*        — design-choice ablations (resistance model, minor losses)
 //	BenchmarkRenderJSON/*     — serving layer: encoding one use case's design document
 //	BenchmarkCanonical/*      — serving layer: one use case's canonical spec bytes (the cache key)
+//	BenchmarkServeHit/*       — serving layer: one warm response-cache hit through the HTTP handler, design and budgeted validate
 //	BenchmarkCrossSectionFDM/*— one cold cross-section FDM solve, n = 32 and the reference's n, w/h = 1.5 and 6.67
 //	BenchmarkSearch/*         — design-space search: grid vs successive halving over the 20 default candidates, one worker
 //	Benchmark<component>      — substrate kernels (meander synthesis, nodal solve, cached FDM)
 package ooc_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -35,6 +39,7 @@ import (
 	"ooc/internal/physio"
 	"ooc/internal/render"
 	"ooc/internal/report"
+	"ooc/internal/server"
 	"ooc/internal/sim"
 	"ooc/internal/specio"
 	"ooc/internal/units"
@@ -513,6 +518,58 @@ func BenchmarkCanonical(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps the status and
+// headers and drops the body, so BenchmarkServeHit times the handler,
+// not a recorder growing a buffer for a copy of the reply.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+
+// BenchmarkServeHit measures one warm request through the daemon's
+// HTTP handler, per use case: a design and a budgeted validation whose
+// body the server has answered before, so the response cache replays
+// the reply.
+func BenchmarkServeHit(b *testing.B) {
+	for _, rq := range []struct{ name, path string }{
+		{"design", "/v1/design"},
+		{"validate_budget", "/v1/validate?error_budget=0.01"},
+	} {
+		for _, uc := range usecases.All() {
+			b.Run(rq.name+"/"+uc.Name, func(b *testing.B) {
+				body, err := specio.Marshal(uc.Build())
+				if err != nil {
+					b.Fatal(err)
+				}
+				h := server.New(server.Config{}).Handler()
+				w := &discardWriter{header: http.Header{}}
+				send := func() {
+					clear(w.header)
+					h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, rq.path, bytes.NewReader(body)))
+				}
+				// The first request fills the response cache, the
+				// second is the first hit.
+				for i := 0; i < 2; i++ {
+					if send(); w.status != http.StatusOK {
+						b.Fatalf("status %d", w.status)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if send(); w.header.Get("X-Cache") != "hit" {
+						b.Fatalf("status %d X-Cache %q", w.status, w.header.Get("X-Cache"))
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -48,12 +48,22 @@ func FromDoc(doc DesignDoc) (*core.Design, error) {
 	if len(doc.Channels) == 0 {
 		return nil, fmt.Errorf("render: document has no channels")
 	}
-	if doc.FluidViscosityPaS <= 0 {
+	if doc.FluidViscosityPaS == 0 {
 		return nil, fmt.Errorf("render: document lacks fluid viscosity")
 	}
 	density := doc.FluidDensityKgM3
-	if density <= 0 {
+	if density == 0 {
 		density = 1000
+	}
+	med := fluid.Fluid{
+		Name:      "loaded",
+		Viscosity: units.PascalSeconds(doc.FluidViscosityPaS),
+		Density:   units.KilogramsPerCubicMetre(density),
+	}
+	// A fluid outside physio's windows would reach the validator as a
+	// singular or non-finite network; refuse it here, naming it.
+	if err := med.Validate(); err != nil {
+		return nil, fmt.Errorf("render: %w", err)
 	}
 
 	var channelHeight float64
@@ -80,12 +90,6 @@ func FromDoc(doc DesignDoc) (*core.Design, error) {
 			InletX:  units.Metres(m.InletXM),
 			OutletX: units.Metres(m.OutletXM),
 		}
-	}
-
-	med := fluid.Fluid{
-		Name:      "loaded",
-		Viscosity: units.PascalSeconds(doc.FluidViscosityPaS),
-		Density:   units.KilogramsPerCubicMetre(density),
 	}
 
 	channels := make([]core.Channel, len(doc.Channels))

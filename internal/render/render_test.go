@@ -197,3 +197,34 @@ func TestParseJSONErrors(t *testing.T) {
 		t.Error("degenerate path accepted")
 	}
 }
+
+// TestFromDocFluidWindow: a reloaded document's fluid must lie inside
+// physio's windows, or loading fails naming the quantity; a negative
+// density is not read as absent.
+func TestFromDocFluidWindow(t *testing.T) {
+	d := sampleDesign(t)
+	for _, c := range []struct {
+		viscosity, density float64
+		want               string
+	}{
+		{viscosity: 1e300, want: "viscosity "},
+		{density: -5, want: "density "},
+	} {
+		doc := ToDoc(d)
+		if c.viscosity != 0 {
+			doc.FluidViscosityPaS = c.viscosity
+		}
+		if c.density != 0 {
+			doc.FluidDensityKgM3 = c.density
+		}
+		_, err := FromDoc(doc)
+		if err == nil || !strings.HasPrefix(err.Error(), "render: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("µ %g ρ %g: got %v, want a render error naming the %s", c.viscosity, c.density, err, c.want)
+		}
+	}
+	doc := ToDoc(d)
+	doc.FluidDensityKgM3 = 0
+	if _, err := FromDoc(doc); err != nil {
+		t.Errorf("absent density should default: %v", err)
+	}
+}

@@ -3,11 +3,13 @@ package server
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"net/http"
 	"sync"
 
 	"ooc/internal/cachesnap"
+	"ooc/internal/core"
 	"ooc/internal/obs"
 )
 
@@ -224,4 +226,69 @@ func (c *respCache) importEntries(entries []cachesnap.ResponseEntry) int {
 	}
 	c.evictLocked()
 	return added
+}
+
+// specMemo remembers what specio.Parse and specio.Canonical made of a
+// request body whose response the cache already served, so a repeat of
+// those exact bytes skips both. Both are pure functions of the body,
+// so a memoized request serves the same bytes as a parsed one.
+//
+// Entries are keyed on the body's SHA-256 digest, not on the body:
+// json.Unmarshal ignores unknown fields, so a body of up to
+// maxSpecBytes can parse to a small spec, and an entry holding the raw
+// bytes could cost a megabyte. An entry holds only the spec and its
+// canonical key, both shared read-only by every request that finds
+// them. Like respCache, the memo is an LRU bounded by Config.CacheSize.
+type specMemo struct {
+	mu      sync.Mutex
+	cap     int
+	lru     *list.List // of *memoEntry; front = most recently used
+	entries map[[sha256.Size]byte]*list.Element
+}
+
+// memoEntry is one memoized body: its digest, spec and canonical key.
+type memoEntry struct {
+	sum  [sha256.Size]byte
+	spec core.Spec
+	key  []byte
+}
+
+func newSpecMemo(capacity int) *specMemo {
+	return &specMemo{
+		cap:     capacity,
+		lru:     list.New(),
+		entries: make(map[[sha256.Size]byte]*list.Element),
+	}
+}
+
+// get returns the spec and canonical key memoized for the body with
+// digest sum, refreshing its recency.
+func (m *specMemo) get(sum [sha256.Size]byte) (core.Spec, []byte, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.entries[sum]
+	if !ok {
+		return core.Spec{}, nil, false
+	}
+	m.lru.MoveToFront(el)
+	e := el.Value.(*memoEntry)
+	return e.spec, e.key, true
+}
+
+// put memoizes spec and key for the body with digest sum, evicting the
+// least recently used entry beyond capacity. The handlers call it only
+// after a response-cache hit answered the body with a 200, so traffic
+// that never repeats stores nothing.
+func (m *specMemo) put(sum [sha256.Size]byte, spec core.Spec, key []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.entries[sum]; ok {
+		return
+	}
+	m.entries[sum] = m.lru.PushFront(&memoEntry{sum: sum, spec: spec, key: key})
+	if m.lru.Len() > m.cap {
+		el := m.lru.Back()
+		m.lru.Remove(el)
+		delete(m.entries, el.Value.(*memoEntry).sum)
+	}
 }

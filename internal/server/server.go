@@ -8,7 +8,9 @@
 //     instead of unbounded queueing;
 //   - a singleflight + LRU response cache keyed on canonicalized spec
 //     bytes (specio.Canonical) makes identical concurrent requests
-//     solve once, with hit/miss counters in internal/obs;
+//     solve once, with hit/miss counters in internal/obs; a body the
+//     cache has answered is memoized by its digest, so its repeats
+//     skip parsing and canonicalization;
 //   - every request runs under a deadline budget (server default,
 //     client-overridable up to a cap via ?timeout=), propagated
 //     through the context plumbing down to the solvers; an exhausted
@@ -65,6 +67,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -162,6 +165,7 @@ type Server struct {
 	col   *obs.Collector
 	adm   *admission
 	cache *respCache
+	memo  *specMemo
 	jobs  *jobs.Manager
 	mux   *http.ServeMux
 	start time.Time
@@ -188,6 +192,7 @@ func New(cfg Config) *Server {
 		col:   cfg.Collector,
 		adm:   newAdmission(cfg.MaxConcurrent, cfg.QueueDepth),
 		cache: newRespCache(cfg.CacheSize),
+		memo:  newSpecMemo(cfg.CacheSize),
 		jobs: jobs.NewManager(jobs.Config{
 			MaxRunning:     cfg.JobsMaxRunning,
 			QueueDepth:     cfg.JobsQueueDepth,
@@ -286,37 +291,44 @@ func (s *Server) reply(w http.ResponseWriter, endpoint string, started time.Time
 }
 
 // readSpec reads and parses the request body into a spec and its
-// canonical cache-key bytes.
-func (s *Server) readSpec(w http.ResponseWriter, r *http.Request) (core.Spec, []byte, error) {
+// canonical cache-key bytes. It also returns the body's digest, under
+// which the caller memoizes the two once the response cache has
+// answered the body; a memoized body is not parsed again.
+func (s *Server) readSpec(w http.ResponseWriter, r *http.Request) (core.Spec, []byte, [sha256.Size]byte, error) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		return core.Spec{}, nil, fmt.Errorf("reading request body: %w", err)
+		return core.Spec{}, nil, [sha256.Size]byte{}, fmt.Errorf("reading request body: %w", err)
+	}
+	sum := sha256.Sum256(raw)
+	if spec, key, ok := s.memo.get(sum); ok {
+		return spec, key, sum, nil
 	}
 	spec, err := specio.Parse(raw)
 	if err != nil {
-		return core.Spec{}, nil, err
+		return core.Spec{}, nil, sum, err
 	}
 	key, err := specio.Canonical(spec)
 	if err != nil {
-		return core.Spec{}, nil, err
+		return core.Spec{}, nil, sum, err
 	}
-	return spec, key, nil
+	return spec, key, sum, nil
 }
 
 // requestContext derives the per-request deadline budget: the server
-// default, overridable by ?timeout= up to the configured cap. The
+// default, overridable by ?timeout= (rawTimeout, read by the handler
+// from its one parse of the query) up to the configured cap. The
 // effective budget is returned so handlers can echo it in the
 // X-OOC-Timeout response header — a ?timeout= above the cap is
 // honored only up to MaxTimeout, and silently clamping it used to
 // leave clients planning around a budget the server never granted.
 // The returned context also carries the server's telemetry collector,
 // so pipeline counters such as dyn.steps land in /metrics.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, time.Duration, error) {
+func (s *Server) requestContext(r *http.Request, rawTimeout string) (context.Context, context.CancelFunc, time.Duration, error) {
 	budget := s.cfg.DefaultTimeout
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
-		d, err := time.ParseDuration(raw)
+	if rawTimeout != "" {
+		d, err := time.ParseDuration(rawTimeout)
 		if err != nil || d <= 0 {
-			return nil, nil, 0, fmt.Errorf("invalid timeout %q (want a positive duration like 500ms)", raw)
+			return nil, nil, 0, fmt.Errorf("invalid timeout %q (want a positive duration like 500ms)", rawTimeout)
 		}
 		if d > s.cfg.MaxTimeout {
 			d = s.cfg.MaxTimeout
@@ -383,16 +395,17 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		s.reply(w, "design", started, jsonError(http.StatusMethodNotAllowed, "POST a specification document"), false)
 		return
 	}
-	spec, key, err := s.readSpec(w, r)
+	spec, key, sum, err := s.readSpec(w, r)
 	if err != nil {
 		s.reply(w, "design", started, jsonError(http.StatusBadRequest, "%v", err), false)
 		return
 	}
+	q := r.URL.Query()
 	// Design generation is model-independent, so ?error_budget= here
 	// only answers the selection question (which rung would validation
 	// use?) via the X-OOC-Model-Selected header — the cached body is
 	// shared with budget-less requests.
-	errBudget, err := s.parseBudgetQuery(r.URL.Query().Get("error_budget"), false)
+	errBudget, err := s.parseBudgetQuery(q.Get("error_budget"), false)
 	if err != nil {
 		s.reply(w, "design", started, jsonError(http.StatusBadRequest, "%v", err), false)
 		return
@@ -405,7 +418,7 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("X-OOC-Model-Selected", rung.Name)
 	}
-	ctx, cancel, budget, err := s.requestContext(r)
+	ctx, cancel, budget, err := s.requestContext(r, q.Get("timeout"))
 	if err != nil {
 		s.reply(w, "design", started, jsonError(http.StatusBadRequest, "%v", err), false)
 		return
@@ -437,6 +450,8 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		resp = errorResponse(err)
+	} else if hit && resp.status == http.StatusOK {
+		s.memo.put(sum, spec, key)
 	}
 	s.reply(w, "design", started, resp, hit)
 }
@@ -538,7 +553,8 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		s.reply(w, "validate", started, jsonError(http.StatusMethodNotAllowed, "POST a specification document"), false)
 		return
 	}
-	modelParam := r.URL.Query().Get("model")
+	q := r.URL.Query()
+	modelParam := q.Get("model")
 	model, err := sim.ParseModel(modelParam)
 	if err == nil && model == sim.ModelNumeric {
 		err = errors.New("model numeric is not served: the FDM cross-section solve is an offline oracle (run oocsim -model numeric); exact is the served reference")
@@ -547,22 +563,22 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		s.reply(w, "validate", started, jsonError(http.StatusBadRequest, "%v", err), false)
 		return
 	}
-	errBudget, err := s.parseBudgetQuery(r.URL.Query().Get("error_budget"), modelParam != "")
+	errBudget, err := s.parseBudgetQuery(q.Get("error_budget"), modelParam != "")
 	if err != nil {
 		s.reply(w, "validate", started, jsonError(http.StatusBadRequest, "%v", err), false)
 		return
 	}
 	dopt := sim.DefaultDynamicOptions()
 	if model == sim.ModelDynamic {
-		err = parseDynamicQuery(r.URL.Query(), &dopt)
+		err = parseDynamicQuery(q, &dopt)
 	} else {
-		err = rejectDynamicQuery(r.URL.Query(), model)
+		err = rejectDynamicQuery(q, model)
 	}
 	if err != nil {
 		s.reply(w, "validate", started, jsonError(http.StatusBadRequest, "%v", err), false)
 		return
 	}
-	spec, key, err := s.readSpec(w, r)
+	spec, key, sum, err := s.readSpec(w, r)
 	if err != nil {
 		s.reply(w, "validate", started, jsonError(http.StatusBadRequest, "%v", err), false)
 		return
@@ -584,7 +600,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		model = rung.Model
 		w.Header().Set("X-OOC-Model-Selected", rung.Name)
 	}
-	ctx, cancel, budget, err := s.requestContext(r)
+	ctx, cancel, budget, err := s.requestContext(r, q.Get("timeout"))
 	if err != nil {
 		s.reply(w, "validate", started, jsonError(http.StatusBadRequest, "%v", err), false)
 		return
@@ -664,6 +680,8 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		resp = errorResponse(err)
+	} else if hit && resp.status == http.StatusOK {
+		s.memo.put(sum, spec, key)
 	}
 	s.reply(w, "validate", started, resp, hit)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -64,7 +65,7 @@ func post(t *testing.T, client *http.Client, url string, body []byte, header map
 
 // TestDesignEndToEnd: a real spec in, a loadable design out; the
 // second identical request is a cache hit with byte-identical body,
-// and /metrics reflects all of it.
+// its body is memoized, and /metrics reflects all of it.
 func TestDesignEndToEnd(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -103,9 +104,21 @@ func TestDesignEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp3, _ := post(t, ts.Client(), ts.URL+"/v1/design", compact, nil)
-	if resp3.Header.Get("X-Cache") != "hit" {
+	// The repeated body is memoized by its hit; the reformatted one
+	// misses the memo, meets it at the response cache, and is
+	// memoized by its own hit in turn.
+	if _, _, ok := s.memo.get(sha256.Sum256(body)); !ok {
+		t.Fatal("a body answered by a cache hit was not memoized")
+	}
+	if _, _, ok := s.memo.get(sha256.Sum256(compact)); ok {
+		t.Fatal("a reformatted body was memoized before it was sent")
+	}
+	resp3, raw3 := post(t, ts.Client(), ts.URL+"/v1/design", compact, nil)
+	if resp3.Header.Get("X-Cache") != "hit" || string(raw3) != string(raw1) {
 		t.Fatal("reformatted identical spec missed the cache")
+	}
+	if _, _, ok := s.memo.get(sha256.Sum256(compact)); !ok {
+		t.Fatal("a reformatted body was not memoized by its hit")
 	}
 
 	snap := s.Collector().Snapshot()
@@ -279,10 +292,11 @@ func TestModuleCountRejected(t *testing.T) {
 }
 
 // TestFluidWindowRejected: a viscosity or density outside physio's
-// medium windows gets a 400 naming the quantity from /v1/design, from
-// /v1/validate at every served model and budget, and from /v1/jobs,
-// before the pipeline runs. Without the windows these bodies end in a
-// 500 (a non-finite document), a 422 (a singular network) or a 200.
+// medium windows, a negative one included, gets a 400 naming the
+// quantity from /v1/design, from /v1/validate at every served model and
+// budget, and from /v1/jobs, before the pipeline runs. Without the
+// windows these bodies end in a 500 (a non-finite document), a 422 (a
+// singular network) or a 200 (a negative value read as absent).
 func TestFluidWindowRejected(t *testing.T) {
 	s := New(Config{})
 	var generated atomic.Int64
@@ -306,6 +320,8 @@ func TestFluidWindowRejected(t *testing.T) {
 		{viscosity: 1e-5, density: 1e300, want: "viscosity"},
 		{density: 1e300, want: "density"},
 		{density: 1e-300, want: "density"},
+		{viscosity: -1, density: -5, want: "viscosity"},
+		{density: -5, want: "density"},
 	} {
 		spec := uc.Build()
 		if c.viscosity != 0 {

@@ -81,11 +81,13 @@ func (f File) ToSpec() (core.Spec, error) {
 	default:
 		return core.Spec{}, fmt.Errorf("specio: unknown reference %q (male or female)", f.Reference)
 	}
+	// Only an absent (zero) viscosity or density selects the default;
+	// any other value, a negative one included, meets physio's windows.
 	fl := fluid.MediumLowViscosity
-	if f.ViscosityPaS > 0 {
+	if f.ViscosityPaS != 0 {
 		fl.Viscosity = units.PascalSeconds(f.ViscosityPaS)
 	}
-	if f.DensityKgM3 > 0 {
+	if f.DensityKgM3 != 0 {
 		fl.Density = units.KilogramsPerCubicMetre(f.DensityKgM3)
 	}
 	// Refuse a fluid outside physio's windows before any work is done

@@ -156,6 +156,22 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
+// TestNegativeFluidRejected: only an absent viscosity or density
+// selects the default medium; a negative one is refused at parse,
+// naming the quantity.
+func TestNegativeFluidRejected(t *testing.T) {
+	for _, c := range []struct{ fields, want string }{
+		{`"viscosity_pa_s": -1, "density_kg_m3": -5`, "viscosity "},
+		{`"viscosity_pa_s": -1`, "viscosity "},
+		{`"density_kg_m3": -5`, "density "},
+	} {
+		doc := `{"organism_mass_kg": 1e-6, "shear_stress_pa": 1.5, ` + c.fields + `, "modules": [{"organ": "liver"}]}`
+		if _, err := Parse([]byte(doc)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming the %s", c.fields, err, c.want)
+		}
+	}
+}
+
 func TestScalingExponentCarried(t *testing.T) {
 	spec, err := Parse([]byte(`{
 		"name": "allo",

@@ -70,7 +70,8 @@ fuzz_smoke() {
         ./internal/render:FuzzDesignJSON \
         ./internal/cachesnap:FuzzRead \
         ./internal/analysis:FuzzBaselineRoundTrip \
-        ./internal/server:FuzzParseDynamicQuery; do
+        ./internal/server:FuzzParseDynamicQuery \
+        ./internal/server:FuzzServeSpec; do
         go test -run '^$' -fuzz "^${_target#*:}\$" -fuzztime=5s "${_target%%:*}" || return 1
     done
 }
@@ -104,10 +105,11 @@ step examples-smoke examples_smoke
 # Smoke-run the headline benchmarks once (-benchtime=1x): catches
 # bit-rot in the parallel evaluation path, the cross-section cache,
 # both search strategies, the steady network solve under flow-driven
-# and pressure-driven pumps, the one-shot dense LU and the design
-# document writer without paying for a full measurement run.
+# and pressure-driven pumps, the one-shot dense LU, the design
+# document writer and a warm response-cache hit through the handler
+# without paying for a full measurement run.
 bench_smoke() {
-    go test -run '^$' -bench 'BenchmarkTableIParallel|BenchmarkCrossSectionCached|BenchmarkSearch|BenchmarkNodalSolve|BenchmarkAblationPumpMode|BenchmarkLUSolve|BenchmarkRenderJSON' -benchtime=1x .
+    go test -run '^$' -bench 'BenchmarkTableIParallel|BenchmarkCrossSectionCached|BenchmarkSearch|BenchmarkNodalSolve|BenchmarkAblationPumpMode|BenchmarkLUSolve|BenchmarkRenderJSON|BenchmarkServeHit' -benchtime=1x .
 }
 step bench-smoke bench_smoke
 
