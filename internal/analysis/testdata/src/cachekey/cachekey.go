@@ -90,3 +90,58 @@ func ServeKeyed(c *respCache, spec, mode string) string {
 func render(spec, mode string) string {
 	return mode + ":" + spec
 }
+
+// flightCache is a generic singleflight container whose map is keyed
+// by its type parameter, like internal/flight's Cache.
+type flightCache[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V
+}
+
+// Do returns the cached value for key, computing it via fill on a
+// miss.
+func (c *flightCache[K, V]) Do(key K, fill func() V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m[key]; ok {
+		return v
+	}
+	if c.m == nil {
+		c.m = make(map[K]V)
+	}
+	v := fill()
+	c.m[key] = v
+	return v
+}
+
+// gridKey memoizes grid solves; the package-level instance below
+// marks it as a cache-key type through the generic's map.
+type gridKey struct {
+	aspect float64
+	n      int
+}
+
+var grids = &flightCache[gridKey, float64]{}
+
+// Grid omits n from the key literal — flagged: every resolution
+// aliases to the first one solved.
+func Grid(aspect float64, n int) float64 {
+	return grids.Do(gridKey{aspect: aspect}, func() float64 {
+		return aspect * float64(n)
+	})
+}
+
+// ServeGeneric caches by spec on a string-keyed instance of the
+// generic container, but the fill also depends on mode — flagged.
+func ServeGeneric(c *flightCache[string, string], spec, mode string) string {
+	return c.Do("spec|"+spec, func() string {
+		return render(spec, mode)
+	})
+}
+
+// ServeGenericKeyed folds every fill input into the key — clean.
+func ServeGenericKeyed(c *flightCache[string, string], spec, mode string) string {
+	return c.Do("spec|"+spec+"|"+mode, func() string {
+		return render(spec, mode)
+	})
+}

@@ -348,6 +348,67 @@ func TestModuleCountBound(t *testing.T) {
 	}
 }
 
+// TestMassBound: the 16-module corner generates at MaxMass, with the
+// organism mass and with every module's mass at the bound; a mass above
+// it is rejected whether it is given, derived from an anchor module or
+// derived by allometric scaling, naming the limit.
+func TestMassBound(t *testing.T) {
+	spec := maleSimpleSpec()
+	spec.OrganismMass = MaxMass
+	spec.Modules = nil
+	for i := 0; i < MaxModules; i++ {
+		spec.Modules = append(spec.Modules, ModuleSpec{
+			Name:  "liver" + strconv.Itoa(i),
+			Organ: physio.Liver,
+			Kind:  Layered,
+		})
+	}
+	mustGenerate(t, spec)
+	for i := range spec.Modules {
+		spec.Modules[i].Mass = MaxMass
+	}
+	mustGenerate(t, spec)
+
+	over := units.Kilograms(2 * MaxMass.Kilograms())
+	given := maleSimpleSpec()
+	given.OrganismMass = over
+	module := maleSimpleSpec()
+	module.Modules[1].Mass = over
+	anchored := maleSimpleSpec()
+	anchored.OrganismMass = 0
+	anchored.Modules[0].Mass = units.Kilograms(1e-4) // a 0.1 g lung anchors a 14 g organism
+	allometric := maleSimpleSpec()
+	allometric.Modules[1].ScalingExponent = 0.01 // a liver of about 0.8 kg
+	for name, c := range map[string]struct {
+		spec Spec
+		want string
+	}{
+		"given":      {given, "organism mass 0.002 kg exceeds the limit of 0.001 kg"},
+		"module":     {module, `module "liver": mass 0.002 kg exceeds the limit`},
+		"anchored":   {anchored, "derived organism mass"},
+		"allometric": {allometric, `module "liver": mass`},
+	} {
+		if _, err := Derive(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", name, err, c.want)
+		}
+	}
+}
+
+// TestPerfusionFloor: an explicit perfusion below physio.MinPerfusion, a
+// subnormal one included, is rejected; the floor itself is accepted.
+func TestPerfusionFloor(t *testing.T) {
+	for _, p := range []float64{5e-324, 1e-310, physio.MinPerfusion / 2, -0.1} {
+		spec := maleSimpleSpec()
+		spec.Modules[0].Perfusion = p
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "outside [0.001, 1)") {
+			t.Errorf("perfusion %g: got %v, want an error naming [0.001, 1)", p, err)
+		}
+	}
+	spec := maleSimpleSpec()
+	spec.Modules[0].Perfusion = physio.MinPerfusion
+	mustGenerate(t, spec)
+}
+
 func fmt8(prefix string, i int) string {
 	return prefix + string(rune('0'+i))
 }

@@ -85,6 +85,10 @@ func Derive(spec Spec) (*Resolved, error) {
 				if err != nil {
 					return nil, fmt.Errorf("core: anchor module %q: %w", name, err)
 				}
+				// Refuse an oversized chip before realize lays it out.
+				if err := CheckMass(mb); err != nil {
+					return nil, fmt.Errorf("core: anchor module %q: derived organism %w", name, err)
+				}
 				organismMass = mb
 				break
 			}
@@ -119,6 +123,9 @@ func Derive(spec Spec) (*Resolved, error) {
 				mm, err = physio.ModuleMassAllometric(ms.Organ, organismMass, &ref, ms.ScalingExponent)
 			} else {
 				mm, err = physio.ModuleMass(ms.Organ, organismMass, &ref)
+			}
+			if err == nil {
+				err = CheckMass(mm)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("core: module %q: %w", m.Name, err)

@@ -80,7 +80,11 @@ type requiredPressures struct {
 	supLen, disLen []float64
 }
 
-func realize(ctx context.Context, res *Resolved, plan *FlowPlan) (*Design, error) {
+// newLayoutState builds the starting layout shared by Generate and
+// GenerateNaive: the vertical-channel pitch, the module lengths, the
+// minimum gaps and the initial offsets. It also returns the margin by
+// which meander runs must clear the module row.
+func newLayoutState(res *Resolved) (*layoutState, float64) {
 	n := len(res.Modules)
 	geo := res.Geometry
 	spacing := float64(geo.Spacing)
@@ -115,7 +119,11 @@ func realize(ctx context.Context, res *Resolved, plan *FlowPlan) (*Design, error
 	minOffset := 2*margin + 2*pitch
 	st.offS = math.Max(float64(geo.InitialOffset), minOffset)
 	st.offD = st.offS
+	return st, margin
+}
 
+func realize(ctx context.Context, res *Resolved, plan *FlowPlan) (*Design, error) {
+	st, margin := newLayoutState(res)
 	var converged bool
 	iter := 0
 	for ; iter < maxGenerateIterations; iter++ {
@@ -150,11 +158,7 @@ func realize(ctx context.Context, res *Resolved, plan *FlowPlan) (*Design, error
 			res.Spec.Name, maxGenerateIterations)
 	}
 
-	d, err := assemble(res, plan, st, iter+1)
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
+	return assemble(res, plan, st, iter+1)
 }
 
 // place recomputes module positions from the current gaps, and seeds

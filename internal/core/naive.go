@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"ooc/internal/geometry"
 )
@@ -30,44 +29,11 @@ func GenerateNaive(spec Spec) (*Design, error) {
 		return nil, err
 	}
 
-	n := len(res.Modules)
-	geo := res.Geometry
-	spacing := float64(geo.Spacing)
-	vertW := float64(res.VerticalCrossSection().Width)
-	moduleW := float64(res.ModuleWidth)
-	pitch := vertW + spacing
-	margin := moduleW/2 + spacing + vertW/2
-
-	st := &layoutState{
-		n:         n,
-		pitch:     pitch,
-		moduleLen: make([]float64, n),
-		gaps:      make([]float64, n+1),
-		xIn:       make([]float64, n),
-		xOut:      make([]float64, n),
-		supTap:    make([]float64, n),
-		disTap:    make([]float64, n),
-		supLen:    make([]float64, n),
-		disLen:    make([]float64, n),
-		supPath:   make([]geometry.Polyline, n),
-		disPath:   make([]geometry.Polyline, n),
-	}
-	for i, m := range res.Modules {
-		st.moduleLen[i] = float64(m.Length)
-	}
-	minGap := math.Max(float64(geo.MinGap), spacing+2*pitch)
-	for i := range st.gaps {
-		st.gaps[i] = minGap
-	}
-	minOffset := 2*margin + 2*pitch
-	st.offS = math.Max(float64(geo.InitialOffset), minOffset)
-	st.offD = st.offS
+	st, _ := newLayoutState(res)
+	// Straight verticals at the minimum length that place sets for a
+	// channel without a path — no meanders, no KVL.
 	st.place()
-
-	// Straight verticals at the minimum length — no meanders, no KVL.
-	for i := 0; i < n; i++ {
-		st.supLen[i] = st.offS + st.pitch
-		st.disLen[i] = st.offD + st.pitch
+	for i := 0; i < st.n; i++ {
 		sup, err := straightTap(st.offS, st.pitch)
 		if err != nil {
 			return nil, fmt.Errorf("core: naive supply %d: %w", i, err)

@@ -171,6 +171,32 @@ func CheckModuleCount(n int) error {
 	return nil
 }
 
+// MaxMass bounds the organism mass M_b and every module mass M_m at
+// 1 000 times the paper's 1 mg organism. Up to it a design costs about
+// what it costs at paper scale: male_simple's document is 13.5 KB at
+// 1 mg and 17.6 KB at 1 g, and 16 modules of 1 g each make 422 KB.
+// Beyond it the chip grows with the mass without limit: 147 KB at
+// 1 kg, 6.5 MB at 10 t, out of memory at 100 000 t.
+const MaxMass units.Mass = 1e-3
+
+// CheckMass rejects a mass above MaxMass.
+func CheckMass(m units.Mass) error {
+	if m > MaxMass {
+		return fmt.Errorf("mass %g kg exceeds the limit of %g kg", m.Kilograms(), MaxMass.Kilograms())
+	}
+	return nil
+}
+
+// CheckPerfusion rejects an explicit module perfusion outside
+// [physio.MinPerfusion, 1). Zero means absent: Eq. 4 derives the
+// perfusion.
+func CheckPerfusion(p float64) error {
+	if p != 0 && !(p >= physio.MinPerfusion && p < 1) {
+		return fmt.Errorf("perfusion %g outside [%g, 1)", p, physio.MinPerfusion)
+	}
+	return nil
+}
+
 // Spec is the formal specification of the desired OoC (Sec. III-A).
 type Spec struct {
 	// Name identifies the chip (e.g. "male_simple").
@@ -236,10 +262,11 @@ func (s *Spec) Validate() error {
 		if m.Mass < 0 {
 			return fmt.Errorf("core: module %q: negative mass", name)
 		}
-		if m.Perfusion < 0 || m.Perfusion >= 1 {
-			if m.Perfusion != 0 {
-				return fmt.Errorf("core: module %q: perfusion %g outside (0, 1)", name, m.Perfusion)
-			}
+		if err := CheckMass(m.Mass); err != nil {
+			return fmt.Errorf("core: module %q: %w", name, err)
+		}
+		if err := CheckPerfusion(m.Perfusion); err != nil {
+			return fmt.Errorf("core: module %q: %w", name, err)
 		}
 		if m.Organ == "" && (m.Mass == 0 || m.Perfusion == 0) {
 			return fmt.Errorf("core: module %q: custom modules need explicit mass and perfusion", name)
@@ -250,6 +277,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.OrganismMass < 0 {
 		return errors.New("core: negative organism mass")
+	}
+	if err := CheckMass(s.OrganismMass); err != nil {
+		return fmt.Errorf("core: organism %w", err)
 	}
 	if s.OrganismMass == 0 {
 		anchor := s.AnchorModule

@@ -50,3 +50,9 @@ const (
 	MinMediumDensity   units.Density   = 1e2  // kg/m³
 	MaxMediumDensity   units.Density   = 1e4  // kg/m³
 )
+
+// MinPerfusion is the smallest explicit module perfusion factor
+// (Eq. 4): 29 times below the least perfused organ of the reference
+// tables (spleen, 0.029), and far above the subnormal perfusions whose
+// reciprocal overflows a validation report's deviations to +Inf.
+const MinPerfusion = 1e-3

@@ -7,8 +7,17 @@ import (
 	"time"
 
 	"ooc/internal/cachesnap"
+	"ooc/internal/flight"
 	"ooc/internal/obs"
 )
+
+// lenCompleted reports the number of completed entries in c — the
+// ones a snapshot would serialize and eviction may remove.
+func lenCompleted(c *flight.Cache[string, response]) int {
+	n := 0
+	c.Range(func(string, response) { n++ })
+	return n
+}
 
 func fillOK(body string) func() (response, error) {
 	return func() (response, error) {
@@ -23,16 +32,16 @@ func TestCacheLRUEviction(t *testing.T) {
 	col := obs.NewCollector()
 	c := newRespCache(2)
 	for _, k := range []string{"a", "b", "c"} {
-		if _, _, err := c.do(ctx, col, k, fillOK(k)); err != nil {
+		if _, _, err := c.Do(ctx, col, k, fillOK(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c.LenCompleted() != 2 {
-		t.Fatalf("completed cache length %d, want 2", c.LenCompleted())
+	if lenCompleted(c) != 2 {
+		t.Fatalf("completed cache length %d, want 2", lenCompleted(c))
 	}
 	// "a" was least recently used, so it is the one gone.
 	hit := func(k string) bool {
-		_, h, err := c.do(ctx, col, k, fillOK(k))
+		_, h, err := c.Do(ctx, col, k, fillOK(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,17 +65,17 @@ func TestCacheRecencyOnHit(t *testing.T) {
 	col := obs.NewCollector()
 	c := newRespCache(2)
 	for _, k := range []string{"hot", "cold"} {
-		if _, _, err := c.do(ctx, col, k, fillOK(k)); err != nil {
+		if _, _, err := c.Do(ctx, col, k, fillOK(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, h, _ := c.do(ctx, col, "hot", fillOK("hot")); !h { // refresh "hot"
+	if _, h, _ := c.Do(ctx, col, "hot", fillOK("hot")); !h { // refresh "hot"
 		t.Fatal("expected a hit")
 	}
-	if _, _, err := c.do(ctx, col, "new", fillOK("new")); err != nil {
+	if _, _, err := c.Do(ctx, col, "new", fillOK("new")); err != nil {
 		t.Fatal(err)
 	}
-	if _, h, _ := c.do(ctx, col, "hot", fillOK("hot")); !h {
+	if _, h, _ := c.Do(ctx, col, "hot", fillOK("hot")); !h {
 		t.Fatal(`"hot" was evicted despite being most recently used`)
 	}
 }
@@ -77,26 +86,26 @@ func TestCacheErrorAndUncacheableNotRetained(t *testing.T) {
 	ctx := context.Background()
 	col := obs.NewCollector()
 	c := newRespCache(4)
-	if _, _, err := c.do(ctx, col, "boom", func() (response, error) {
+	if _, _, err := c.Do(ctx, col, "boom", func() (response, error) {
 		return response{}, fmt.Errorf("transient")
 	}); err == nil {
 		t.Fatal("expected the fill error back")
 	}
-	if _, _, err := c.do(ctx, col, "meh", func() (response, error) {
+	if _, _, err := c.Do(ctx, col, "meh", func() (response, error) {
 		return response{status: 422, body: []byte("unprocessable")}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 0 || c.LenCompleted() != 0 {
-		t.Fatalf("errored/uncacheable fills left %d entries (%d completed)", c.Len(), c.LenCompleted())
+	if c.Len() != 0 || lenCompleted(c) != 0 {
+		t.Fatalf("errored/uncacheable fills left %d entries (%d completed)", c.Len(), lenCompleted(c))
 	}
-	if _, hit, _ := c.do(ctx, col, "meh", fillOK("fresh")); hit {
+	if _, hit, _ := c.Do(ctx, col, "meh", fillOK("fresh")); hit {
 		t.Fatal("uncacheable result was served from cache")
 	}
 }
 
 // TestCacheLenCountsInFlight: Len sees in-flight singleflight slots,
-// LenCompleted and export do not — conflating the two used to let a
+// lenCompleted and exportResponses do not — conflating the two used to let a
 // snapshot report (and try to serialize) entries that held no response
 // yet.
 func TestCacheLenCountsInFlight(t *testing.T) {
@@ -108,7 +117,7 @@ func TestCacheLenCountsInFlight(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, err := c.do(ctx, col, "slow", func() (response, error) {
+		_, _, err := c.Do(ctx, col, "slow", func() (response, error) {
 			close(entered)
 			<-release
 			return response{status: 200, contentType: "text/plain", body: []byte("slow")}, nil
@@ -118,18 +127,18 @@ func TestCacheLenCountsInFlight(t *testing.T) {
 		}
 	}()
 	<-entered
-	if c.Len() != 1 || c.LenCompleted() != 0 {
-		t.Fatalf("mid-fill: Len=%d LenCompleted=%d, want 1/0", c.Len(), c.LenCompleted())
+	if c.Len() != 1 || lenCompleted(c) != 0 {
+		t.Fatalf("mid-fill: Len=%d lenCompleted=%d, want 1/0", c.Len(), lenCompleted(c))
 	}
-	if exp := c.export(); len(exp) != 0 {
+	if exp := exportResponses(c); len(exp) != 0 {
 		t.Fatalf("export serialized %d in-flight entries", len(exp))
 	}
 	close(release)
 	<-done
-	if c.Len() != 1 || c.LenCompleted() != 1 {
-		t.Fatalf("after fill: Len=%d LenCompleted=%d, want 1/1", c.Len(), c.LenCompleted())
+	if c.Len() != 1 || lenCompleted(c) != 1 {
+		t.Fatalf("after fill: Len=%d lenCompleted=%d, want 1/1", c.Len(), lenCompleted(c))
 	}
-	if exp := c.export(); len(exp) != 1 || string(exp[0].Body) != "slow" {
+	if exp := exportResponses(c); len(exp) != 1 || string(exp[0].Body) != "slow" {
 		t.Fatalf("export after fill: %+v", exp)
 	}
 }
@@ -146,7 +155,7 @@ func TestCacheJoinAbortNotCountedAsHit(t *testing.T) {
 	ownerDone := make(chan struct{})
 	go func() {
 		defer close(ownerDone)
-		_, _, err := c.do(context.Background(), col, "k", func() (response, error) {
+		_, _, err := c.Do(context.Background(), col, "k", func() (response, error) {
 			close(entered)
 			<-release
 			return response{status: 200, contentType: "text/plain", body: []byte("v")}, nil
@@ -160,7 +169,7 @@ func TestCacheJoinAbortNotCountedAsHit(t *testing.T) {
 	expired, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-expired.Done()
-	if _, joined, err := c.do(expired, col, "k", fillOK("never")); !joined || err == nil {
+	if _, joined, err := c.Do(expired, col, "k", fillOK("never")); !joined || err == nil {
 		t.Fatalf("expired waiter: joined=%v err=%v, want a join abort error", joined, err)
 	}
 	snap := col.Snapshot()
@@ -171,7 +180,7 @@ func TestCacheJoinAbortNotCountedAsHit(t *testing.T) {
 	close(release)
 	<-ownerDone
 	// The same expired context now finds a completed entry: a hit.
-	if resp, joined, err := c.do(expired, col, "k", fillOK("never")); !joined || err != nil || string(resp.body) != "v" {
+	if resp, joined, err := c.Do(expired, col, "k", fillOK("never")); !joined || err != nil || string(resp.body) != "v" {
 		t.Fatalf("completed entry under expired ctx: joined=%v err=%v body=%q", joined, err, resp.body)
 	}
 	snap = col.Snapshot()
@@ -187,10 +196,10 @@ func TestCacheImportEntries(t *testing.T) {
 	ctx := context.Background()
 	col := obs.NewCollector()
 	c := newRespCache(4)
-	if _, _, err := c.do(ctx, col, "live", fillOK("local")); err != nil {
+	if _, _, err := c.Do(ctx, col, "live", fillOK("local")); err != nil {
 		t.Fatal(err)
 	}
-	added := c.importEntries([]cachesnap.ResponseEntry{
+	added := importResponses(c, []cachesnap.ResponseEntry{
 		{Key: "live", Status: 200, ContentType: "text/plain", Body: []byte("imported-shadow")},
 		{Key: "warm", Status: 200, ContentType: "text/plain", Body: []byte("warm-body")},
 		{Key: "", Status: 200, Body: []byte("keyless")},
@@ -202,31 +211,31 @@ func TestCacheImportEntries(t *testing.T) {
 		t.Fatalf("imported %d entries, want only the valid new one", added)
 	}
 	// The live entry's own body survives the shadowing import.
-	if resp, hit, _ := c.do(ctx, col, "live", fillOK("never")); !hit || string(resp.body) != "local" {
+	if resp, hit, _ := c.Do(ctx, col, "live", fillOK("never")); !hit || string(resp.body) != "local" {
 		t.Fatalf("live entry after import: hit=%v body=%q", hit, resp.body)
 	}
 	// The imported entry replays without filling.
-	if resp, hit, _ := c.do(ctx, col, "warm", fillOK("never")); !hit || string(resp.body) != "warm-body" {
+	if resp, hit, _ := c.Do(ctx, col, "warm", fillOK("never")); !hit || string(resp.body) != "warm-body" {
 		t.Fatalf("imported entry: hit=%v body=%q", hit, resp.body)
 	}
 
 	// Capacity: importing more than fits keeps live + most recent
 	// imports; the tail of the import order is evicted.
 	small := newRespCache(2)
-	if _, _, err := small.do(ctx, col, "mine", fillOK("mine")); err != nil {
+	if _, _, err := small.Do(ctx, col, "mine", fillOK("mine")); err != nil {
 		t.Fatal(err)
 	}
-	small.importEntries([]cachesnap.ResponseEntry{
+	importResponses(small, []cachesnap.ResponseEntry{
 		{Key: "mru", Status: 200, Body: []byte("1")},
 		{Key: "lru", Status: 200, Body: []byte("2")},
 	})
-	if small.LenCompleted() != 2 {
-		t.Fatalf("import overflowed capacity: %d completed", small.LenCompleted())
+	if lenCompleted(small) != 2 {
+		t.Fatalf("import overflowed capacity: %d completed", lenCompleted(small))
 	}
-	if _, hit, _ := small.do(ctx, col, "mine", fillOK("never")); !hit {
+	if _, hit, _ := small.Do(ctx, col, "mine", fillOK("never")); !hit {
 		t.Fatal("live entry evicted by import")
 	}
-	if _, hit, _ := small.do(ctx, col, "lru", fillOK("recomputed")); hit {
+	if _, hit, _ := small.Do(ctx, col, "lru", fillOK("recomputed")); hit {
 		t.Fatal("over-capacity import tail survived")
 	}
 }

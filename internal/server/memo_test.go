@@ -33,13 +33,6 @@ func serve(h http.Handler, path string, body []byte, accept string) *httptest.Re
 	return rec
 }
 
-// memoLen reports the number of memoized bodies.
-func memoLen(m *specMemo) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lru.Len()
-}
-
 // counterDelta returns the counters that moved from before to after.
 func counterDelta(before, after obs.Summary) map[string]int64 {
 	d := map[string]int64{}
@@ -97,7 +90,7 @@ func TestMemoServesParsedBytes(t *testing.T) {
 				var recs [3]*httptest.ResponseRecorder
 				var deltas [3]map[string]int64
 				for i := range recs {
-					if _, _, ok := s.memo.get(sum); ok != (i == 2) {
+					if _, ok := s.memo.Get(sum); ok != (i == 2) {
 						t.Fatalf("%s: before request %d memoized = %v", uc.Name, i+1, ok)
 					}
 					before := s.Collector().Snapshot()
@@ -137,7 +130,7 @@ func TestMemoAdmission(t *testing.T) {
 				t.Fatalf("body %d: status %d: %s", i, rec.Code, rec.Body)
 			}
 		}
-		if n := memoLen(s.memo); n != 0 {
+		if n := s.memo.Len(); n != 0 {
 			t.Fatalf("300 never-repeated bodies left %d memo entries", n)
 		}
 	})
@@ -169,7 +162,7 @@ func TestMemoAdmission(t *testing.T) {
 				}
 			}
 		}
-		if n := memoLen(s.memo); n != 0 {
+		if n := s.memo.Len(); n != 0 {
 			t.Fatalf("4xx bodies left %d memo entries", n)
 		}
 	})
@@ -210,7 +203,7 @@ func TestMemoAdmission(t *testing.T) {
 				t.Fatalf("request %d: status %d, want 422", i, code)
 			}
 		}
-		if n := memoLen(s.memo); n != 0 {
+		if n := s.memo.Len(); n != 0 {
 			t.Fatalf("a joined 422 left %d memo entries", n)
 		}
 	})
@@ -225,7 +218,7 @@ func TestMemoAdmission(t *testing.T) {
 					t.Fatalf("body %d: status %d: %s", i, rec.Code, rec.Body)
 				}
 			}
-			if n, want := memoLen(s.memo), min(i+1, 2); n != want {
+			if n, want := s.memo.Len(), min(i+1, 2); n != want {
 				t.Fatalf("after %d repeated bodies the memo holds %d, want %d", i+1, n, want)
 			}
 		}
@@ -259,7 +252,7 @@ func TestMemoConcurrentSharing(t *testing.T) {
 		serve(h, "/v1/design", body, "")
 		serve(h, "/v1/design", body, "")
 	}
-	if n := memoLen(s.memo); n != len(bodies) {
+	if n := s.memo.Len(); n != len(bodies) {
 		t.Fatalf("memo holds %d bodies, want %d", n, len(bodies))
 	}
 	const workers = 8
@@ -279,7 +272,7 @@ func TestMemoConcurrentSharing(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := memoLen(s.memo); n != len(bodies) {
+	if n := s.memo.Len(); n != len(bodies) {
 		t.Fatalf("memo holds %d bodies after the run, want %d", n, len(bodies))
 	}
 }

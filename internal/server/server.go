@@ -6,11 +6,11 @@
 //   - a bounded admission controller (semaphore + queue, sized off the
 //     shared internal/parallel pool) turns overload into fast 429s
 //     instead of unbounded queueing;
-//   - a singleflight + LRU response cache keyed on canonicalized spec
-//     bytes (specio.Canonical) makes identical concurrent requests
-//     solve once, with hit/miss counters in internal/obs; a body the
-//     cache has answered is memoized by its digest, so its repeats
-//     skip parsing and canonicalization;
+//   - a singleflight + LRU response cache (a flight.Cache) keyed on
+//     canonicalized spec bytes (specio.Canonical) makes identical
+//     concurrent requests solve once, with hit/miss counters in
+//     internal/obs; a body the cache has answered is memoized by its
+//     digest, so its repeats skip parsing and canonicalization;
 //   - every request runs under a deadline budget (server default,
 //     client-overridable up to a cap via ?timeout=), propagated
 //     through the context plumbing down to the solvers; an exhausted
@@ -77,6 +77,7 @@ import (
 	"time"
 
 	"ooc/internal/core"
+	"ooc/internal/flight"
 	"ooc/internal/jobs"
 	"ooc/internal/modelsel"
 	"ooc/internal/obs"
@@ -164,8 +165,8 @@ type Server struct {
 	cfg   Config
 	col   *obs.Collector
 	adm   *admission
-	cache *respCache
-	memo  *specMemo
+	cache *flight.Cache[string, response]
+	memo  *flight.Cache[[sha256.Size]byte, parsedSpec]
 	jobs  *jobs.Manager
 	mux   *http.ServeMux
 	start time.Time
@@ -300,8 +301,8 @@ func (s *Server) readSpec(w http.ResponseWriter, r *http.Request) (core.Spec, []
 		return core.Spec{}, nil, [sha256.Size]byte{}, fmt.Errorf("reading request body: %w", err)
 	}
 	sum := sha256.Sum256(raw)
-	if spec, key, ok := s.memo.get(sum); ok {
-		return spec, key, sum, nil
+	if p, ok := s.memo.Get(sum); ok {
+		return p.spec, p.key, sum, nil
 	}
 	spec, err := specio.Parse(raw)
 	if err != nil {
@@ -426,7 +427,7 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	w.Header().Set("X-OOC-Timeout", budget.String())
 
-	resp, hit, err := s.cache.do(ctx, s.col, "design|"+string(key), func() (response, error) {
+	resp, hit, err := s.cache.Do(ctx, s.col, "design|"+string(key), func() (response, error) {
 		if err := s.adm.acquire(ctx); err != nil {
 			return response{}, err
 		}
@@ -451,7 +452,7 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		resp = errorResponse(err)
 	} else if hit && resp.status == http.StatusOK {
-		s.memo.put(sum, spec, key)
+		s.memo.Put(sum, parsedSpec{spec: spec, key: key})
 	}
 	s.reply(w, "design", started, resp, hit)
 }
@@ -640,7 +641,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	}
 	cacheKey := fmt.Sprintf("validate|%s|%s|%s", variant, rendering, key)
 
-	resp, hit, err := s.cache.do(ctx, s.col, cacheKey, func() (response, error) {
+	resp, hit, err := s.cache.Do(ctx, s.col, cacheKey, func() (response, error) {
 		if err := s.adm.acquire(ctx); err != nil {
 			return response{}, err
 		}
@@ -681,7 +682,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		resp = errorResponse(err)
 	} else if hit && resp.status == http.StatusOK {
-		s.memo.put(sum, spec, key)
+		s.memo.Put(sum, parsedSpec{spec: spec, key: key})
 	}
 	s.reply(w, "validate", started, resp, hit)
 }

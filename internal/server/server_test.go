@@ -107,17 +107,17 @@ func TestDesignEndToEnd(t *testing.T) {
 	// The repeated body is memoized by its hit; the reformatted one
 	// misses the memo, meets it at the response cache, and is
 	// memoized by its own hit in turn.
-	if _, _, ok := s.memo.get(sha256.Sum256(body)); !ok {
+	if _, ok := s.memo.Get(sha256.Sum256(body)); !ok {
 		t.Fatal("a body answered by a cache hit was not memoized")
 	}
-	if _, _, ok := s.memo.get(sha256.Sum256(compact)); ok {
+	if _, ok := s.memo.Get(sha256.Sum256(compact)); ok {
 		t.Fatal("a reformatted body was memoized before it was sent")
 	}
 	resp3, raw3 := post(t, ts.Client(), ts.URL+"/v1/design", compact, nil)
 	if resp3.Header.Get("X-Cache") != "hit" || string(raw3) != string(raw1) {
 		t.Fatal("reformatted identical spec missed the cache")
 	}
-	if _, _, ok := s.memo.get(sha256.Sum256(compact)); !ok {
+	if _, ok := s.memo.Get(sha256.Sum256(compact)); !ok {
 		t.Fatal("a reformatted body was not memoized by its hit")
 	}
 

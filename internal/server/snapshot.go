@@ -28,7 +28,7 @@ type RestoreStats struct {
 // never included: the former hold no value yet and the latter are
 // never cached in the first place — only 200s are.
 func (s *Server) Snapshot() *cachesnap.Snapshot {
-	return &cachesnap.Snapshot{Responses: s.cache.export()}
+	return &cachesnap.Snapshot{Responses: exportResponses(s.cache)}
 }
 
 // WriteSnapshot serializes the current cache state to w in the
@@ -45,7 +45,7 @@ func (s *Server) WriteSnapshot(w io.Writer) error {
 // skipping entries whose keys are already live (local traffic wins) or
 // that fail re-validation, and records the import in the collector.
 func (s *Server) RestoreSnapshot(snap *cachesnap.Snapshot) RestoreStats {
-	st := RestoreStats{Responses: s.cache.importEntries(snap.Responses)}
+	st := RestoreStats{Responses: importResponses(s.cache, snap.Responses)}
 	s.col.Add("server.cache.snapshot.imports", 1)
 	s.col.Add("server.cache.import.responses", int64(st.Responses))
 	return st
@@ -77,15 +77,12 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	switch r.Method {
 	case http.MethodGet:
-		snap := s.Snapshot()
 		w.Header().Set("Content-Type", cachesnap.ContentType)
 		w.WriteHeader(http.StatusOK)
-		if err := cachesnap.Write(w, snap); err != nil {
+		if err := s.WriteSnapshot(w); err != nil {
 			// The status is committed; the client sees a truncated body
 			// and its own Read will reject the checksum.
 			s.col.Add("server.write_errors", 1)
-		} else {
-			s.col.Add("server.cache.snapshot.exports", 1)
 		}
 		s.col.Add(fmt.Sprintf("requests.%s.%d", "cache", http.StatusOK), 1)
 		s.col.Observe("request.cache", time.Since(started))

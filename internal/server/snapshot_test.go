@@ -206,8 +206,8 @@ func TestWriteSnapshotRoundTrip(t *testing.T) {
 	if st.Responses != 1 {
 		t.Fatalf("restore stats %+v", st)
 	}
-	if cold.cache.LenCompleted() != 1 {
-		t.Fatalf("restored response cache holds %d entries", cold.cache.LenCompleted())
+	if lenCompleted(cold.cache) != 1 {
+		t.Fatalf("restored response cache holds %d entries", lenCompleted(cold.cache))
 	}
 }
 

@@ -3,8 +3,8 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
 
+	"ooc/internal/flight"
 	"ooc/internal/fluid"
 	"ooc/internal/linalg"
 	"ooc/internal/obs"
@@ -23,41 +23,24 @@ type crossSectionKey struct {
 	n int
 }
 
-// csEntry is one in-flight or completed cache slot. The goroutine
-// that created the entry performs the solve, stores val/err, and
-// closes done; every other goroutine that finds the entry waits on
-// done. This singleflight design makes the hit/miss counters
-// deterministic: each unique key is a miss exactly once per cache
-// generation, no matter how many goroutines race on it (the plain
-// memo cache it replaces could miss the same key several times under
-// concurrency, making -stats output schedule-dependent).
-type csEntry struct {
-	done chan struct{}
-	val  float64
-	err  error
-}
-
-// crossSectionCache maps keys to their singleflight slots.
-var crossSectionCache = struct {
-	sync.Mutex
-	m map[crossSectionKey]*csEntry
-}{m: make(map[crossSectionKey]*csEntry)}
+// crossSections is the process-wide singleflight cache of normalized
+// integrals. It is unbounded (there are few similarity classes) and
+// keeps only successful solves: a failed solve, including a
+// cancellation or deadline abort, is recomputed by the next call with
+// a fresh budget.
+var crossSections = flight.New[crossSectionKey, float64](0, flight.Counters{
+	Hits:       obs.CrossSectionHits,
+	Misses:     obs.CrossSectionMisses,
+	JoinAborts: obs.CrossSectionJoinAborts,
+}, "sim: waiting for cross-section solve", nil)
 
 // ResetCrossSectionCache empties the solve cache. Benchmarks use it to
 // measure cold solves; production code never needs it.
-func ResetCrossSectionCache() {
-	crossSectionCache.Lock()
-	defer crossSectionCache.Unlock()
-	crossSectionCache.m = make(map[crossSectionKey]*csEntry)
-}
+func ResetCrossSectionCache() { crossSections.Reset() }
 
 // CrossSectionCacheSize reports the number of cache slots, completed
 // *and* in flight.
-func CrossSectionCacheSize() int {
-	crossSectionCache.Lock()
-	defer crossSectionCache.Unlock()
-	return len(crossSectionCache.m)
-}
+func CrossSectionCacheSize() int { return crossSections.Len() }
 
 // normalizedIntegral solves the normalized duct problem ∇²u = −1 on
 // the unit-height rectangle [0, aspect] × [0, 1] and returns the
@@ -70,56 +53,11 @@ func CrossSectionCacheSize() int {
 // in results. Lookups are counted as hits/misses in the obs collector
 // carried by ctx; the singleflight protocol guarantees exactly one
 // miss per unique key, so the counts are worker-count-independent.
-// Failed solves (including cancellation/deadline aborts) are never
-// cached: the owning goroutine removes its slot so a later call can
-// retry with a fresh budget.
 func normalizedIntegral(ctx context.Context, key crossSectionKey) (float64, error) {
-	crossSectionCache.Lock()
-	if e, ok := crossSectionCache.m[key]; ok {
-		crossSectionCache.Unlock()
-		// A completed entry is a hit no matter what state ctx is in:
-		// without this fast path the select below would choose randomly
-		// between a ready done and a ready ctx.Done(), making the
-		// hit/abort split schedule-dependent for expired contexts.
-		select {
-		case <-e.done:
-			obs.FromContext(ctx).Add(obs.CrossSectionHits, 1)
-			return e.val, e.err
-		default:
-		}
-		select {
-		case <-e.done:
-			// Only now is this a hit: the waiter actually received the
-			// memoized result. Recording the hit before the select used
-			// to count ctx-expired waiters as hits, inflating the hit
-			// rate that -stats reports and making the counter
-			// schedule-dependent under deadline pressure.
-			obs.FromContext(ctx).Add(obs.CrossSectionHits, 1)
-			return e.val, e.err
-		case <-ctx.Done():
-			// The owning solve keeps running under its own context; this
-			// waiter just stops waiting for it — a join abort, not a hit.
-			obs.FromContext(ctx).Add(obs.CrossSectionJoinAborts, 1)
-			return 0, fmt.Errorf("sim: waiting for cross-section solve: %w", ctx.Err())
-		}
-	}
-	e := &csEntry{done: make(chan struct{})}
-	crossSectionCache.m[key] = e
-	crossSectionCache.Unlock()
-	obs.FromContext(ctx).Add(obs.CrossSectionMisses, 1)
-
-	e.val, e.err = solveNormalized(ctx, key)
-	if e.err != nil {
-		crossSectionCache.Lock()
-		// Only remove our own slot: a concurrent Reset may have replaced
-		// the map or another goroutine re-created the key.
-		if cur, ok := crossSectionCache.m[key]; ok && cur == e {
-			delete(crossSectionCache.m, key)
-		}
-		crossSectionCache.Unlock()
-	}
-	close(e.done)
-	return e.val, e.err
+	v, _, err := crossSections.Do(ctx, obs.FromContext(ctx), key, func() (float64, error) {
+		return solveNormalized(ctx, key)
+	})
+	return v, err
 }
 
 // solveNormalized performs the actual normalized cross-section solve.

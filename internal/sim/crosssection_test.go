@@ -273,11 +273,23 @@ func TestJoinAbortNotCountedAsHit(t *testing.T) {
 	ResetCrossSectionCache()
 	key := crossSectionKey{aspect: 1.7, n: 16}
 
-	// Install the in-flight slot the waiter will join.
-	e := &csEntry{done: make(chan struct{})}
-	crossSectionCache.Lock()
-	crossSectionCache.m[key] = e
-	crossSectionCache.Unlock()
+	// Install the in-flight slot the waiter will join: an owner whose
+	// fill blocks until released, counted in its own collector.
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	ownerDone := make(chan struct{})
+	go func() {
+		defer close(ownerDone)
+		_, _, err := crossSections.Do(context.Background(), obs.NewCollector(), key, func() (float64, error) {
+			close(entered)
+			<-release
+			return 0.02, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	}()
+	<-entered
 
 	col := obs.NewCollector()
 	expired, cancel := context.WithTimeout(obs.WithCollector(context.Background(), col), time.Nanosecond)
@@ -294,8 +306,8 @@ func TestJoinAbortNotCountedAsHit(t *testing.T) {
 
 	// The owner completes; the same waiter context still aborts nothing
 	// — a completed entry is a hit even under an expired context.
-	e.val = 0.02
-	close(e.done)
+	close(release)
+	<-ownerDone
 	//ooclint:ignore floatcmp the cached bits must replay exactly
 	if v, err := normalizedIntegral(expired, key); err != nil || v != 0.02 {
 		t.Fatalf("completed entry under expired ctx: v=%v err=%v", v, err)

@@ -118,12 +118,13 @@ type Options struct {
 	// never a silent default.
 	Dynamic DynamicOptions
 	// ErrorBudget records the accuracy budget (a deviation fraction in
-	// (0, 1]) that auto-selected this Model via internal/modelsel, for
-	// provenance in reports and telemetry. Zero means no budget was
-	// involved — the model was chosen explicitly.
-	// Validation range-checks it but never re-selects: selection
-	// happens at the edges (server handlers, CLI flag resolution),
-	// where "the client pinned a model explicitly" is knowable.
+	// (0, 1]) that auto-selected this Model via internal/modelsel. Zero
+	// means no budget was involved — the model was chosen explicitly.
+	// Validation only range-checks it: no report or counter carries
+	// it, and validation never re-selects. Selection happens at the
+	// edges (server handlers, CLI flag resolution), where "the client
+	// pinned a model explicitly" is knowable, and those edges echo the
+	// budget themselves.
 	ErrorBudget float64
 }
 

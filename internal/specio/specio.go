@@ -96,11 +96,20 @@ func (f File) ToSpec() (core.Spec, error) {
 		return core.Spec{}, fmt.Errorf("specio: %w", err)
 	}
 	spec.Fluid = fl
-	if f.SpacingM > 0 {
-		spec.Geometry.Spacing = units.Metres(f.SpacingM)
+	// Likewise only an absent (zero) spacing or channel height selects
+	// core's default; a negative one is refused here.
+	if f.SpacingM < 0 {
+		return core.Spec{}, fmt.Errorf("specio: negative spacing_m %g", f.SpacingM)
 	}
-	if f.ChannelHeightM > 0 {
-		spec.Geometry.ChannelHeight = units.Metres(f.ChannelHeightM)
+	if f.ChannelHeightM < 0 {
+		return core.Spec{}, fmt.Errorf("specio: negative channel_height_m %g", f.ChannelHeightM)
+	}
+	spec.Geometry.Spacing = units.Metres(f.SpacingM)
+	spec.Geometry.ChannelHeight = units.Metres(f.ChannelHeightM)
+	// Refuse an explicit mass above core's bound before any work is
+	// done on it: the chip grows with the mass.
+	if err := core.CheckMass(spec.OrganismMass); err != nil {
+		return core.Spec{}, fmt.Errorf("specio: organism_mass_kg: %w", err)
 	}
 	// Bound the module count before converting a single module, so an
 	// oversized document is refused before any work is done on it.
@@ -108,6 +117,16 @@ func (f File) ToSpec() (core.Spec, error) {
 		return core.Spec{}, fmt.Errorf("specio: %w", err)
 	}
 	for _, m := range f.Modules {
+		name := m.Name
+		if name == "" {
+			name = m.Organ
+		}
+		if err := core.CheckMass(units.Kilograms(m.MassKg)); err != nil {
+			return core.Spec{}, fmt.Errorf("specio: module %q: mass_kg: %w", name, err)
+		}
+		if err := core.CheckPerfusion(m.Perfusion); err != nil {
+			return core.Spec{}, fmt.Errorf("specio: module %q: %w", name, err)
+		}
 		ms := core.ModuleSpec{
 			Name:            m.Name,
 			Organ:           physio.OrganID(m.Organ),
